@@ -32,14 +32,13 @@ check: build test parallel-smoke lint
 bench: build
 	dune exec bench/main.exe
 
-# Seconds-long subsets of the snapshot, memo and checkpoint bench sections:
-# assert that outcomes stay byte-identical with the failure-point snapshot
-# layer and the crash-state memoization layer on and off, and that a chain of
-# wall-budget-interrupted sessions resumed from checkpoints reports
-# identically to one uninterrupted run. Also regenerates BENCH_fig14.json,
+# Seconds-long subsets of the snapshot and checkpoint bench sections: assert
+# that outcomes stay byte-identical with the failure-point snapshot layer on
+# and off, and that a chain of wall-budget-interrupted sessions resumed from
+# checkpoints reports identically to one uninterrupted run. Also regenerates BENCH_fig14.json,
 # the committed replay-throughput trajectory.
 bench-smoke: build
-	dune exec bench/main.exe -- fig14-json snapshot-smoke memo-smoke checkpoint-smoke
+	dune exec bench/main.exe -- fig14-json snapshot-smoke checkpoint-smoke
 
 # Regression gate over the committed BENCH_fig14.json: re-measures jobs=1
 # replay throughput per Fig. 14 workload and fails on an execution-count
@@ -52,7 +51,7 @@ bench-check: build
 # Stateful-PBT determinism smoke: `jaaru pbt --seed S` (a clean sweep plus
 # one seeded-bug structure, so the shrunk witness is covered) must print
 # byte-identical reports for jobs {1, JAARU_TEST_JOBS} and with the
-# snapshot/memo layers on and off.
+# snapshot layer on and off.
 pbt-smoke: build
 	scripts/pbt_determinism_smoke.sh
 

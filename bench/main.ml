@@ -160,11 +160,11 @@ let same_outcome (a : Explorer.outcome) (b : Explorer.outcome) =
    CI archives it and `make bench-check` flags regressions against the
    committed baseline. Per workload:
 
-     - best-of-K jobs=1 wall time with snapshot/memo off — pure replay
+     - best-of-K jobs=1 wall time with snapshots off — pure replay
        throughput (executions per second), the number the flat replay engine
        optimises;
      - the same at jobs=4 — domain scaling;
-     - one jobs=1 run with both layers on — memo/snapshot hit rates.
+     - one jobs=1 run with snapshots on — the snapshot hit rate.
 
    Every timed cell runs once untimed and Gc.compacts first, so the minima
    compare replay work rather than allocator state inherited from whichever
@@ -187,11 +187,11 @@ let timed_cell f =
   done;
   (Option.get !last, !best)
 
-let fig14_perf_config ~jobs ~layers =
-  { Config.default with Config.max_steps = 200_000; jobs; snapshot = layers; memo = layers }
+let fig14_perf_config ~jobs ~snapshot =
+  { Config.default with Config.max_steps = 200_000; jobs; snapshot }
 
 let measure_replay scn =
-  timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~layers:false) scn)
+  timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~snapshot:false) scn)
 
 let hit_rate hits misses =
   let total = hits + misses in
@@ -199,8 +199,8 @@ let hit_rate hits misses =
 
 let fig14_perf () =
   section_header (Printf.sprintf "Figure 14 perf trajectory (%s)" fig14_json_path);
-  Format.printf "%-12s %8s %10s %12s %10s %10s %10s@." "Benchmark" "exec" "replay" "exec/s"
-    "j=4 spdup" "memo hit%" "snap hit%";
+  Format.printf "%-12s %8s %10s %12s %10s %10s@." "Benchmark" "exec" "replay" "exec/s"
+    "j=4 spdup" "snap hit%";
   let open Jsonx in
   let total_execs = ref 0 and total_t = ref 0. in
   let rows =
@@ -209,25 +209,25 @@ let fig14_perf () =
         let scn = Recipe.Workloads.fixed_scenario benchmark n in
         let o1, t1 = measure_replay scn in
         let o4, t4 =
-          timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:4 ~layers:false) scn)
+          timed_cell (fun () ->
+              Explorer.run ~config:(fig14_perf_config ~jobs:4 ~snapshot:false) scn)
         in
         let ol, _tl =
-          timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~layers:true) scn)
+          timed_cell (fun () -> Explorer.run ~config:(fig14_perf_config ~jobs:1 ~snapshot:true) scn)
         in
         (* The determinism contract, re-checked where the numbers are made:
-           jobs and the snapshot/memo layers may only change wall time and
+           jobs and the snapshot layer may only change wall time and
            cache-traffic diagnostics. *)
         assert (same_outcome o1 o4);
         assert (same_outcome o1 ol);
         let s = o1.Explorer.stats and sl = ol.Explorer.stats in
         let execs = s.Stats.executions in
         let eps = float_of_int execs /. t1 in
-        let memo_rate = hit_rate sl.Stats.memo_hits sl.Stats.memo_misses in
         let snap_rate = hit_rate sl.Stats.snapshot_hits sl.Stats.snapshot_misses in
         total_execs := !total_execs + execs;
         total_t := !total_t +. t1;
-        Format.printf "%-12s %8d %9.3fs %12.0f %9.2fx %9.1f%% %9.1f%%@." benchmark execs t1 eps
-          (t1 /. t4) (100. *. memo_rate) (100. *. snap_rate);
+        Format.printf "%-12s %8d %9.3fs %12.0f %9.2fx %9.1f%%@." benchmark execs t1 eps
+          (t1 /. t4) (100. *. snap_rate);
         Obj
           [
             ("benchmark", Str benchmark);
@@ -245,10 +245,6 @@ let fig14_perf () =
             ( "layered",
               Obj
                 [
-                  ("memo_hits", int sl.Stats.memo_hits);
-                  ("memo_misses", int sl.Stats.memo_misses);
-                  ("memo_saved", int sl.Stats.memo_saved);
-                  ("memo_hit_rate", Num memo_rate);
                   ("snapshot_hits", int sl.Stats.snapshot_hits);
                   ("snapshot_misses", int sl.Stats.snapshot_misses);
                   ("snapshot_hit_rate", Num snap_rate);
@@ -506,71 +502,6 @@ let snapshot_bench ~smoke =
      guards the byte-identity asserts and that the layer engages at all. *)
   if not smoke then assert (best >= 2.)
 
-(* --- crash-state memoization ---------------------------------------------------- *)
-
-(* The memoization layer (Config.memo): at each committed crash the surviving
-   persistent state is canonicalized (sequence numbers rank-normalized, so
-   different drain-cut vectors persisting the same bytes collide) and fully
-   explored recovery subtrees are replayed from a cached verdict instead of
-   re-executed. Redundant crash states arise from concurrency: two writer
-   threads running the same code reach the same persistent state through many
-   schedule/drain combinations, and every duplicate's recovery subtree is
-   skipped. Outcomes must stay byte-identical with the layer on or off — the
-   only observable differences are the diagnostic hit counters and wall
-   time. *)
-let memo_row ~label ~jobs config scn =
-  let run memo =
-    let config = { config with Config.memo; jobs } in
-    let t0 = Unix.gettimeofday () in
-    let o = Explorer.run ~config scn in
-    (o, Unix.gettimeofday () -. t0)
-  in
-  let o_off, t_off = run false in
-  let o_on, t_on = run true in
-  let identical = same_outcome o_off o_on in
-  let s = o_on.Explorer.stats in
-  let replayed = s.Stats.executions - s.Stats.memo_saved in
-  Format.printf "%-22s %8d %9d %7d %7d %9.2fs %9.2fs %s@." label s.Stats.executions replayed
-    s.Stats.memo_hits s.Stats.memo_saved t_off t_on
-    (if identical then "yes" else "NO");
-  assert identical;
-  (label, s.Stats.memo_hits, s.Stats.memo_saved)
-
-let memo_bench ~smoke =
-  section_header "Memo: crash-state memoization (memo off vs on)";
-  Format.printf "%-22s %8s %9s %7s %7s %10s %10s %s@." "Workload" "exec" "replayed" "hits"
-    "saved" "off" "on" "identical";
-  let clht ks0 ks1 = Recipe.Workloads.concurrent_scenario ~ks0 ~ks1 ~racy:false () in
-  let racy = Recipe.Workloads.concurrent_scenario ~racy:true () in
-  let buffered mf =
-    {
-      Config.default with
-      Config.evict_policy = Config.Buffered;
-      max_failures = mf;
-      max_steps = 200_000;
-    }
-  in
-  let rows =
-    if smoke then [ ("P-CLHT racy increment", 1, buffered 2, racy) ]
-    else
-      [
-        ("P-CLHT conc (1+1 keys)", 1, buffered 2, clht [ 3 ] [ 11 ]);
-        ("P-CLHT conc (2+2 keys)", 1, buffered 2, clht [ 3; 5 ] [ 11; 13 ]);
-        ("P-CLHT conc (j=4)", 4, buffered 2, clht [ 3; 5 ] [ 11; 13 ]);
-        ("P-CLHT racy increment", 1, buffered 2, racy);
-      ]
-  in
-  let results =
-    List.map (fun (label, jobs, config, scn) -> memo_row ~label ~jobs config scn) rows
-  in
-  let saving = List.filter (fun (_, _, saved) -> saved > 0) results in
-  Format.printf "@.%d workload(s) with replayed-recovery savings@." (List.length saving);
-  (* The full run must demonstrate savings on at least two workloads; the
-     smoke run only guards the byte-identity asserts and that the layer
-     engages at all. *)
-  if smoke then assert (List.exists (fun (_, hits, _) -> hits > 0) results)
-  else assert (List.length saving >= 2)
-
 (* --- checkpoint / resume --------------------------------------------------------- *)
 
 (* Survivability layer (Config.wall_budget + Explorer.run ~checkpoint/~resume):
@@ -812,9 +743,6 @@ let () =
   (* snapshot-smoke is opt-in only (CI): a seconds-long subset of the
      snapshot section that still exercises the byte-identity asserts. *)
   if List.mem "snapshot-smoke" sections then snapshot_bench ~smoke:true;
-  if want "memo" then memo_bench ~smoke:false;
-  (* memo-smoke is opt-in only (CI), like snapshot-smoke. *)
-  if List.mem "memo-smoke" sections then memo_bench ~smoke:true;
   if want "checkpoint" then checkpoint_bench ~smoke:false;
   (* checkpoint-smoke is opt-in only (CI), like snapshot-smoke. *)
   if List.mem "checkpoint-smoke" sections then checkpoint_bench ~smoke:true;

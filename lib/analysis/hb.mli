@@ -24,8 +24,8 @@
 
     {b Determinism:} everything is a pure function of the event stream, so
     clock assignments — and any finding details derived from them — are
-    byte-identical across [--jobs] values and with the snapshot/memo layers
-    on or off (the repo's standing reporting contract). *)
+    byte-identical across [--jobs] values and with the snapshot layer on
+    or off (the repo's standing reporting contract). *)
 
 type t
 

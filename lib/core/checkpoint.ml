@@ -17,8 +17,8 @@ type t = {
 
 (* --- payload codecs -------------------------------------------------------
 
-   The payload is the same hand-rolled structural encoding the memo keys use
-   (Pmem.Wire) rather than a [Marshal] image: the format is explicit per
+   The payload is a hand-rolled structural encoding (Pmem.Wire) rather
+   than a [Marshal] image: the format is explicit per
    field, so it neither breaks silently when a record changes shape (the
    codec stops compiling instead) nor accepts a hostile [Marshal] blob that
    happens to pass the CRC. Every writer below has a matching reader; a
@@ -145,9 +145,6 @@ let wr_stats b (x : Stats.t) =
   Wire.int b x.Stats.stores;
   Wire.int b x.Stats.flushes;
   Wire.int b x.Stats.findings;
-  Wire.int b x.Stats.memo_hits;
-  Wire.int b x.Stats.memo_misses;
-  Wire.int b x.Stats.memo_saved;
   Wire.int b x.Stats.snapshot_hits;
   Wire.int b x.Stats.snapshot_misses;
   Wire.int b x.Stats.sheds;
@@ -163,9 +160,6 @@ let rd_stats s =
   let stores = Wire.rd_int s in
   let flushes = Wire.rd_int s in
   let findings = Wire.rd_int s in
-  let memo_hits = Wire.rd_int s in
-  let memo_misses = Wire.rd_int s in
-  let memo_saved = Wire.rd_int s in
   let snapshot_hits = Wire.rd_int s in
   let snapshot_misses = Wire.rd_int s in
   let sheds = Wire.rd_int s in
@@ -173,16 +167,14 @@ let rd_stats s =
   let exhausted = Wire.rd_bool s in
   let interrupted = Wire.rd_bool s in
   {
-    Stats.executions;
+    Stats.zero with
+    executions;
     failure_points;
     rf_decisions;
     multi_rf_loads;
     stores;
     flushes;
     findings;
-    memo_hits;
-    memo_misses;
-    memo_saved;
     snapshot_hits;
     snapshot_misses;
     sheds;
@@ -216,7 +208,7 @@ let decode payload =
 
 (* Only the fields that shape the choice tree and the reports participate:
    everything a resumed run may legitimately change — [jobs], [snapshot],
-   [memo], the budgets, [checkpoint_every] — is excluded, because outcomes
+   the budgets, [checkpoint_every] — is excluded, because outcomes
    are identical across those settings (the acceptance property resumption
    relies on). [step_deadline] IS included: its timeouts surface as bugs, so
    resuming under a different deadline would merge incomparable report
@@ -241,7 +233,7 @@ let fingerprint ~workload (c : Config.t) =
   Wire.option Wire.float b c.step_deadline;
   Printf.sprintf "%08x" (Wire.crc b)
 
-let magic = "jaaru-checkpoint-v2"
+let magic = "jaaru-checkpoint-v3"
 
 let make ~fingerprint ~frontier ~bugs ~multi_rf ~perf ~findings ~stats =
   { fingerprint; frontier; bugs; multi_rf; perf; findings; stats }

@@ -32,6 +32,8 @@ type t = {
           OCaml state — all the bundled workloads derive their state from
           the per-execution {!Ctx.t}. *)
   stop_at_first_bug : bool;
+      (** End the run after the first execution that reports a bug; the
+          unexplored remainder is kept for a checkpoint. *)
   report_multi_rf : bool;
       (** Record loads that can read from more than one store — the paper's
           missing-flush debugging aid (§4, Debugging support). *)
@@ -74,19 +76,9 @@ type t = {
           outcomes are byte-identical (modulo wall time) either way, so
           turning it off is only a debugging / benchmarking aid. *)
   memo : bool;
-      (** Memoize post-failure crash states: at every injected failure the
-          surviving persistent state is canonicalized into a digest (see
-          {!Memo}), and when an equivalent state was already fully explored,
-          its cached verdict (bugs, reports, execution counts) is recorded
-          instead of replaying the recovery subtree. On by default; outcomes
-          are byte-identical (modulo [wall_time] and the memo counters of
-          {!Stats.t}) with the layer on or off, for every [jobs] value.
-          Ignored when [stop_at_first_bug] is set — a run that stops mid-
-          subtree must not credit whole cached subtrees, or its execution
-          count would depend on the memo state. Also ignored when
-          [step_deadline] is set — a wall-clock cancellation inside a
-          recovery subtree would leak a nondeterministic verdict into the
-          cache. *)
+      (** Ignored: the checker keeps no crash-state memo. Kept so
+          [perfbench/bench.ml] compiles; drop with the next benchmark
+          revision. *)
   wall_budget : float option;
       (** Wall-clock budget in seconds for the whole run. When it trips, the
           watchdog monitor requests a cooperative stop: every worker finishes
@@ -105,8 +97,8 @@ type t = {
           (cancellation is cooperative). [None]: no deadline. *)
   mem_budget : int option;
       (** Soft memory budget in bytes, sampled from [Gc] statistics by the
-          monitor. When the heap exceeds it, workers shed their memo and
-          snapshot caches — correct but slower, never aborting — and the trip
+          monitor. When the heap exceeds it, workers shed their snapshot
+          caches — correct but slower, never aborting — and the trip
           count surfaces as [Stats.sheds]. [None]: never shed. *)
   checkpoint_every : float;
       (** Seconds between periodic checkpoints when the explorer is given a

@@ -78,8 +78,9 @@ let test_frontier_needs_work () =
 
 (* --- parallel = sequential on the bundled workloads ----------------------------- *)
 
-(* Memo counters are partition-dependent (see Stats.comparable), so the
-   cross-jobs identity is on the comparable projection, not the raw record. *)
+(* Snapshot-cache counters are partition-dependent (see Stats.comparable), so
+   the cross-jobs identity is on the comparable projection, not the raw
+   record. *)
 let strip_time = Stats.comparable
 
 let check_jobs_equivalence name scenario config =
@@ -175,16 +176,14 @@ let test_parallel_analysis_reports () =
 let test_stats_merge_identity_and_sums () =
   let a =
     {
-      Stats.executions = 3;
+      Stats.zero with
+      executions = 3;
       failure_points = 7;
       rf_decisions = 2;
       multi_rf_loads = 1;
       stores = 10;
       flushes = 4;
       findings = 0;
-      memo_hits = 0;
-      memo_misses = 0;
-      memo_saved = 1;
       snapshot_hits = 2;
       snapshot_misses = 1;
       sheds = 0;
@@ -199,12 +198,10 @@ let test_stats_merge_identity_and_sums () =
   Alcotest.(check int) "executions add" 8 m.Stats.executions;
   Alcotest.(check int) "rf decisions add" 6 m.Stats.rf_decisions;
   Alcotest.(check int) "failure points max" 7 m.Stats.failure_points;
-  Alcotest.(check int) "memo saved adds" 2 m.Stats.memo_saved;
   Alcotest.(check int) "snapshot hits add" 4 m.Stats.snapshot_hits;
   Alcotest.(check bool) "exhausted ands" false m.Stats.exhausted;
-  Alcotest.(check bool) "comparable zeroes memo counters" true
-    (Stats.comparable a
-    = Stats.comparable { a with Stats.memo_hits = 9; memo_saved = 0; snapshot_hits = 5 })
+  Alcotest.(check bool) "comparable zeroes cache counters" true
+    (Stats.comparable a = Stats.comparable { a with Stats.snapshot_hits = 5; sheds = 3 })
 
 let () =
   Alcotest.run "parallel"

@@ -5,7 +5,7 @@
    - the hand-rolled structural serializer (Pmem.Wire) round-trips its
      primitives and is injective — two values produce equal bytes iff
      [Marshal] with [No_sharing] considered them equal, the property the
-     Marshal-free canonical memo keys rely on. *)
+     Marshal-free checkpoint codec and trace-ring keys rely on. *)
 
 open Jaaru
 module Event = Analysis.Event
@@ -197,8 +197,7 @@ let wr_prim b = function
   | Plist l -> Wire.list Wire.int b l
 
 (* Readback is driven by the original shape: the format is not
-   self-describing, exactly like the memo/checkpoint codecs that consume
-   it. *)
+   self-describing, exactly like the checkpoint codec that consumes it. *)
 let rd_prim s = function
   | Pint _ -> Pint (Wire.rd_int s)
   | Pbool _ -> Pbool (Wire.rd_bool s)
