@@ -1,8 +1,8 @@
 # Development entry points. `make check` is the tier-1 verify: full build,
-# the whole test suite (which includes the jobs>1 determinism tests in
-# test_parallel.ml), and a CLI smoke run of the parallel explorer.
+# the whole test suite (which includes the differential matrix of
+# output-neutral settings in test/test_golden_reports.ml), and the lint.
 
-.PHONY: all build test check parallel-smoke lint bench bench-smoke bench-check interrupt-smoke pbt-smoke pbt-nightly fleet-smoke clean
+.PHONY: all build test check lint bench bench-smoke bench-check pbt-nightly clean
 
 all: build
 
@@ -11,12 +11,6 @@ build:
 
 test:
 	dune runtest
-
-# Exercise parallel mode end-to-end on every verify: one seeded-bug case and
-# one clean workload, both explored with several domains.
-parallel-smoke: build
-	dune exec bin/jaaru_cli.exe -- check pmdk-1 --jobs 3
-	dune exec bin/jaaru_cli.exe -- perf --benchmark P-CLHT -n 3 --jobs 3
 
 # Static persistency lint over every bundled case: fails on any
 # high-severity finding on a clean case and on any seeded missing-flush bug
@@ -27,18 +21,14 @@ lint: build
 	dune exec bin/jaaru_cli.exe -- lint --fail-on high
 	dune exec examples/persistency_race.exe
 
-check: build test parallel-smoke lint
+check: build test lint
 
 bench: build
 	dune exec bench/main.exe
 
-# Seconds-long subsets of the snapshot and checkpoint bench sections: assert
-# that outcomes stay byte-identical with the failure-point snapshot layer on
-# and off, and that a chain of wall-budget-interrupted sessions resumed from
-# checkpoints reports identically to one uninterrupted run. Also regenerates BENCH_fig14.json,
-# the committed replay-throughput trajectory.
+# Regenerates BENCH_fig14.json, the committed replay-throughput trajectory.
 bench-smoke: build
-	dune exec bench/main.exe -- fig14-json snapshot-smoke checkpoint-smoke
+	dune exec bench/main.exe -- fig14-json
 
 # Regression gate over the committed BENCH_fig14.json: re-measures jobs=1
 # replay throughput per Fig. 14 workload and fails on an execution-count
@@ -48,13 +38,6 @@ bench-smoke: build
 bench-check: build
 	dune exec bench/main.exe -- fig14-check
 
-# Stateful-PBT determinism smoke: `jaaru pbt --seed S` (a clean sweep plus
-# one seeded-bug structure, so the shrunk witness is covered) must print
-# byte-identical reports for jobs {1, JAARU_TEST_JOBS} and with the
-# snapshot layer on and off.
-pbt-smoke: build
-	scripts/pbt_determinism_smoke.sh
-
 # Long-running variant for nightly jobs: as many sequences as fit in the
 # wall budget (seconds; default 10 minutes), deeper command sequences.
 # Deterministic coverage is forfeited; failure soundness is not. Publishes
@@ -63,19 +46,6 @@ pbt-nightly: build
 	dune exec bin/jaaru_cli.exe -- pbt --count 1000000 --max-cmds 10 \
 	  --time-budget $${JAARU_PBT_BUDGET:-600} \
 	  --json-out $${JAARU_PBT_JSON:-pbt-coverage.json}
-
-# Fleet determinism under self-injected faults: `jaaru fleet` with workers
-# being killed, hung and fed torn checkpoints must still report
-# byte-identically to single-process `jaaru check`, across a worker-count
-# matrix, chaos on and off.
-fleet-smoke: build
-	scripts/fleet_chaos_smoke.sh
-
-# Out-of-process half of the survivability story: SIGTERM a real CLI run
-# mid-flight, resume it from its checkpoint, and diff the resumed report
-# against an uninterrupted baseline.
-interrupt-smoke: build
-	scripts/interrupt_resume_smoke.sh
 
 clean:
 	dune clean

@@ -491,16 +491,13 @@ let snapshot_recipe () =
       assert identical)
     fig14_sizes
 
-let snapshot_bench ~smoke =
-  let sizes = if smoke then [ 32; 64 ] else [ 64; 128; 256; 512 ] in
-  let speedups = snapshot_sweep sizes in
-  if not smoke then snapshot_recipe ();
+let snapshot_bench () =
+  let speedups = snapshot_sweep [ 64; 128; 256; 512 ] in
+  snapshot_recipe ();
   let best = List.fold_left max 0. speedups in
   Format.printf "@.best sweep speedup: %.2fx%s@." best
     (if best >= 2. then " (>= 2x pre-failure reduction)" else "");
-  (* The full run must demonstrate the >= 2x reduction; the smoke run only
-     guards the byte-identity asserts and that the layer engages at all. *)
-  if not smoke then assert (best >= 2.)
+  assert (best >= 2.)
 
 (* --- checkpoint / resume --------------------------------------------------------- *)
 
@@ -511,7 +508,7 @@ let snapshot_bench ~smoke =
    must produce an outcome byte-identical to one uninterrupted run; the
    interesting numbers are how many sessions the chain needed and what the
    save/load/re-validate overhead cost relative to the straight run. *)
-let checkpoint_bench ~smoke =
+let checkpoint_bench () =
   section_header "Checkpoint: wall-budget interrupt/resume chain vs uninterrupted run";
   (* A deep tree (two nested failures over a real PMDK case) so the budget
      has something to interrupt; the seeded bug is still found, exercising
@@ -531,7 +528,7 @@ let checkpoint_bench ~smoke =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let budget = min 0.25 (max 0.01 (t_base /. if smoke then 6. else 12.)) in
+      let budget = min 0.25 (max 0.01 (t_base /. 12.)) in
       let config = { base_config with Config.wall_budget = Some budget } in
       let t0 = Unix.gettimeofday () in
       let sessions = ref 1 in
@@ -739,11 +736,6 @@ let () =
   if List.mem "fig14-check" sections then fig14_check ();
   if want "scaling" then scaling ();
   if want "analysis" then analysis_overhead ();
-  if want "snapshot" then snapshot_bench ~smoke:false;
-  (* snapshot-smoke is opt-in only (CI): a seconds-long subset of the
-     snapshot section that still exercises the byte-identity asserts. *)
-  if List.mem "snapshot-smoke" sections then snapshot_bench ~smoke:true;
-  if want "checkpoint" then checkpoint_bench ~smoke:false;
-  (* checkpoint-smoke is opt-in only (CI), like snapshot-smoke. *)
-  if List.mem "checkpoint-smoke" sections then checkpoint_bench ~smoke:true;
+  if want "snapshot" then snapshot_bench ();
+  if want "checkpoint" then checkpoint_bench ();
   if want "ablation" then ablations ()

@@ -234,6 +234,34 @@ let write_report path o =
       let ppf = Format.formatter_of_out_channel oc in
       Format.fprintf ppf "%a@." Jaaru.Explorer.pp_report o)
 
+(* The command that continues an interrupted run. A checkpoint resumes only
+   under its own fingerprint, so the hint repeats every tree-shaping flag the
+   run was given; [--jobs], [--snapshot] and the budgets may differ on resume
+   and are left out. *)
+let resume_hint ~id ~max_failures ~max_steps ~exhaustive ~analyze ~step_deadline ~report_out
+    path =
+  let opt name to_string = Option.fold ~none:[] ~some:(fun v -> [ name; to_string v ]) in
+  let flag name on = if on then [ name ] else [] in
+  let float_arg f =
+    List.find (fun s -> float_of_string s = f) [ Printf.sprintf "%g" f; Printf.sprintf "%.17g" f ]
+  in
+  let word s =
+    let plain = function
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true
+      | c -> String.contains "-_./:,+=" c
+    in
+    if s <> "" && String.for_all plain s then s else Filename.quote s
+  in
+  String.concat " "
+    (List.map word
+       ([ "jaaru"; "check"; id ]
+       @ opt "--max-failures" string_of_int max_failures
+       @ opt "--max-steps" string_of_int max_steps
+       @ flag "--exhaustive" exhaustive @ flag "--analyze" analyze
+       @ opt "--step-deadline" float_arg step_deadline
+       @ [ "--resume"; path ]
+       @ opt "--report-out" Fun.id report_out))
+
 let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf show_trace
     analyze wall_budget step_deadline mem_budget checkpoint checkpoint_every resume report_out =
   match find_entry id with
@@ -281,8 +309,9 @@ let check_run id max_failures max_steps exhaustive jobs snapshot show_multi_rf s
           if o.Jaaru.Explorer.stats.Jaaru.Stats.interrupted then begin
             (match checkpoint with
             | Some path ->
-                Format.printf "@.run interrupted; continue with: jaaru check %s --resume %s@."
-                  entry.id path
+                Format.printf "@.run interrupted; continue with: %s@."
+                  (resume_hint ~id:entry.id ~max_failures ~max_steps ~exhaustive ~analyze
+                     ~step_deadline ~report_out path)
             | None ->
                 Format.printf
                   "@.run interrupted; progress was discarded (re-run with --checkpoint FILE to \
@@ -819,8 +848,9 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
                         ~findings:o.Jaaru.Explorer.findings ~stats:o.Jaaru.Explorer.stats
                     in
                     Jaaru.Checkpoint.save cp path;
-                    Format.printf "@.fleet stopped early; continue with: jaaru check %s --resume %s@."
-                      entry.id path
+                    Format.printf "@.fleet stopped early; continue with: %s@."
+                      (resume_hint ~id:entry.id ~max_failures ~max_steps ~exhaustive:true
+                         ~analyze:false ~step_deadline:None ~report_out path)
                 | None ->
                     Format.printf
                       "@.fleet stopped early; progress was discarded (re-run with --checkpoint \

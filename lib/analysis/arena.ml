@@ -9,7 +9,7 @@
      slot 6  label id in the intern table, -1 when the event has none
 
    Unused slots are written as 0 so encode is injective per tag and a cell
-   compares (and serializes) identically however it was produced. *)
+   compares identically however it was produced. *)
 
 type labels = {
   ids : (string, int) Hashtbl.t;
@@ -191,13 +191,3 @@ let decode t cells off =
   else if tag = tag_crash_anon then Event.Crash { label = None; tid }
   else if tag = tag_end then Event.End_execution
   else invalid_arg "Arena.decode: corrupt cell"
-
-let serialize t cells off sink =
-  Pmem.Wire.int sink cells.(off);
-  Pmem.Wire.int sink cells.(off + 1);
-  Pmem.Wire.int sink cells.(off + 2);
-  Pmem.Wire.int sink cells.(off + 3);
-  Pmem.Wire.int sink cells.(off + 4);
-  Pmem.Wire.int sink cells.(off + 5);
-  let lbl = cells.(off + 6) in
-  Pmem.Wire.string sink (if lbl < 0 then "" else label_name t lbl)

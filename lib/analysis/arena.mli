@@ -67,9 +67,3 @@ val encode_thread_join :
 val encode_failure_point : labels -> int array -> int -> label:string -> tid:int -> unit
 val encode_crash : labels -> int array -> int -> label:string option -> tid:int -> unit
 val encode_end_execution : labels -> int array -> int -> unit
-
-val serialize : labels -> int array -> int -> Pmem.Wire.sink -> unit
-(** Writes the cell at [off] into a wire sink in a table-independent form:
-    every slot as an int except the label slot, written as the label
-    {e string}. Equal events serialize to equal bytes regardless of the
-    intern order of the tables that encoded them. *)

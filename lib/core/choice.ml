@@ -115,13 +115,6 @@ let fast_forward t n =
     invalid_arg "Choice.fast_forward: target outside the recorded prefix";
   t.cursor <- n
 
-let count_kind t kind =
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.cells.(i).kind = kind then incr n
-  done;
-  !n
-
 (* --- prefixes: forking subtrees off an in-progress search ----------------- *)
 
 type prefix_cell = { pkind : kind; pnum : int; pchosen : int; plimit : int }

@@ -39,9 +39,6 @@ val advance : t -> bool
 val depth : t -> int
 (** Decisions consumed by the current replay so far. *)
 
-val count_kind : t -> kind -> int
-(** Decisions of a kind in the current record (diagnostic). *)
-
 val created : t -> kind -> int
 (** Cumulative count of fresh decisions of a kind created over the whole
     exploration (never decreases on truncation). Decisions replayed out of a

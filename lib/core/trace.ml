@@ -108,7 +108,3 @@ let events t =
   let acc = ref [] in
   iter_offsets t (fun off -> acc := Arena.decode t.labels t.cells off :: !acc);
   List.rev !acc
-
-let serialize t sink =
-  Pmem.Wire.int sink t.count;
-  iter_offsets t (fun off -> Arena.serialize t.labels t.cells off sink)

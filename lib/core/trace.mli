@@ -65,8 +65,3 @@ val events : t -> Analysis.Event.t list
 
 val dropped : t -> int
 (** How many older events were overwritten because the ring was full. *)
-
-val serialize : t -> Pmem.Wire.sink -> unit
-(** Writes the event count followed by each packed cell, oldest first, with
-    labels as strings (table-independent): two rings holding equal event
-    sequences serialize identically whatever their intern order. *)

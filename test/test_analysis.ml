@@ -536,7 +536,7 @@ let test_rob_concurrent_commit_still_flagged () =
   in
   Alcotest.(check (list string)) "flagged" [ "w" ] (labels fs)
 
-(* --- HB findings are deterministic across jobs x snapshot ------------------------- *)
+(* --- HB findings are deterministic (across jobs x snapshot: test_golden_reports) -- *)
 
 let test_hb_findings_deterministic () =
   let base_config =
@@ -556,9 +556,7 @@ let test_hb_findings_deterministic () =
              (Format.asprintf "%a" Analysis.Report.pp_finding)
              o.Explorer.findings)
       in
-      let reference =
-        render { base_config with Config.jobs = 1; snapshot = false }
-      in
+      let reference = render base_config in
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
         let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
@@ -568,16 +566,7 @@ let test_hb_findings_deterministic () =
         (name ^ " race findings as expected")
         want_race
         (contains reference "persistency-race-hb");
-      List.iter
-        (fun jobs ->
-          List.iter
-            (fun snapshot ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s jobs=%d snapshot=%b" name jobs snapshot)
-                reference
-                (render { base_config with Config.jobs = jobs; snapshot }))
-            [ false; true ])
-        (Test_env.jobs_matrix ~default:[ 1; 4 ]))
+      Alcotest.(check string) (name ^ " second run") reference (render base_config))
     [
       ( "P-CLHT-small",
         Recipe.Workloads.concurrent_scenario ~ks0:[ 3 ] ~ks1:[ 11 ] ~racy:false (),

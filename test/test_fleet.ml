@@ -1,8 +1,9 @@
 (* Fleet mode: the transport framing, the chaos/backoff machinery, prefix
    shattering, and — the load-bearing property — that an in-process
    coordinator run (the degraded mode every fleet can fall back to) reports
-   byte-identically to a plain single-process exploration. The spawned-
-   process path is exercised end to end by scripts/fleet_chaos_smoke.sh. *)
+   byte-identically to a plain single-process exploration. The differential
+   matrix in test_golden_reports.ml runs the coordinator at 1, 2 and 4
+   workers and the spawned-process path end to end, chaos on and off. *)
 open Jaaru
 
 let report_text (o : Explorer.outcome) = Format.asprintf "%a" Explorer.pp_report o
@@ -22,6 +23,9 @@ let deep_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
   ( c.Pmdk.Workloads.scenario,
     { c.Pmdk.Workloads.config with Config.max_failures = 2; stop_at_first_bug = false } )
+
+(* The single-process report every fleet run must reproduce. *)
+let deep_report = lazy (let scn, config = deep_case () in report_text (Explorer.run ~config scn))
 
 (* --- transport ------------------------------------------------------------- *)
 
@@ -185,7 +189,6 @@ let test_split_prefix_invariants () =
 
 let test_merge_outcomes_differential () =
   let scn, config = deep_case () in
-  let full = Explorer.run ~config scn in
   let path = Filename.temp_file "jaaru_merge" ".ckpt" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -206,7 +209,7 @@ let test_merge_outcomes_differential () =
       in
       let o2 = Explorer.run ~config ~resume:remainder scn in
       let merged = Explorer.merge_outcomes ~config ~completed:true ~interrupted:false [ o1; o2 ] in
-      Alcotest.(check string) "merge of disjoint halves = uninterrupted run" (report_text full)
+      Alcotest.(check string) "merge of disjoint halves = uninterrupted run" (Lazy.force deep_report)
         (report_text merged);
       Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted)
 
@@ -226,26 +229,22 @@ let coordinator_case scn config ~chaos ~workers =
 
 let test_coordinator_in_process_differential () =
   let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
-  List.iter
-    (fun workers ->
-      let r = coordinator_case scn config ~chaos:Fleet.Supervise.no_chaos ~workers in
-      Alcotest.(check string)
-        (Printf.sprintf "fleet(workers=%d, in-process) = single process" workers)
-        expected (report_text r.Fleet.Coordinator.outcome);
-      Alcotest.(check bool) "nothing remaining" true (r.Fleet.Coordinator.remaining = []);
-      Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
-      Alcotest.(check bool) "fell back in-process" true r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
-      Alcotest.(check bool) "no quarantine" true
-        (r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined = []))
-    [ 1; 2; 4 ]
+  let expected = Lazy.force deep_report in
+  let r = coordinator_case scn config ~chaos:Fleet.Supervise.no_chaos ~workers:3 in
+  Alcotest.(check string) "fleet(workers=3, in-process) = single process" expected
+    (report_text r.Fleet.Coordinator.outcome);
+  Alcotest.(check bool) "nothing remaining" true (r.Fleet.Coordinator.remaining = []);
+  Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
+  Alcotest.(check bool) "fell back in-process" true r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
+  Alcotest.(check bool) "no quarantine" true
+    (r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined = [])
 
 (* Spawn failures must degrade, not abort: a worker argv that cannot exist
    disables every slot and the coordinator completes the run itself, still
    byte-identically. *)
 let test_coordinator_degrades_on_spawn_failure () =
   let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
+  let expected = Lazy.force deep_report in
   with_temp_dir (fun scratch ->
       let fleet =
         {
@@ -270,7 +269,7 @@ let test_coordinator_degrades_on_spawn_failure () =
    checkpoints are interchangeable. *)
 let test_coordinator_interrupt_remainder () =
   let scn, config = deep_case () in
-  let expected = report_text (Explorer.run ~config scn) in
+  let expected = Lazy.force deep_report in
   Explorer.clear_interrupt ();
   Fun.protect ~finally:Explorer.clear_interrupt (fun () ->
       let killer =

@@ -95,7 +95,7 @@ let test_jobs_invariance () =
       Alcotest.(check (list (pair int (list string))))
         (Printf.sprintf "jobs=%d same buggy seeds" jobs)
         reference.Fuzz.buggy_seeds r.Fuzz.buggy_seeds)
-    (Test_env.jobs_matrix ~default:[ 2; 4 ])
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "fuzz"

@@ -1,5 +1,7 @@
 (* Domain-parallel exploration: the Frontier work queue and the guarantee
-   that exhaustive parallel runs report exactly what sequential runs do. *)
+   that exhaustive parallel runs report exactly what sequential runs do. The
+   determinism cases run at jobs=3, an odd worker count; the differential
+   matrix in test_golden_reports.ml covers jobs 2 and 4 on every case. *)
 open Jaaru
 
 (* --- Frontier ------------------------------------------------------------------ *)
@@ -79,29 +81,13 @@ let test_frontier_needs_work () =
 (* --- parallel = sequential on the bundled workloads ----------------------------- *)
 
 (* Snapshot-cache counters are partition-dependent (see Stats.comparable), so
-   the cross-jobs identity is on the comparable projection, not the raw
-   record. *)
-let strip_time = Stats.comparable
-
+   the cross-jobs identity is on the comparable projection. *)
 let check_jobs_equivalence name scenario config =
-  let exhaustive = { config with Config.stop_at_first_bug = false } in
-  let reference = Explorer.run ~config:{ exhaustive with Config.jobs = 1 } scenario in
-  List.iter
-    (fun jobs ->
-      let o = Explorer.run ~config:{ exhaustive with Config.jobs = jobs } scenario in
-      let tag fmt = Printf.sprintf "%s jobs=%d: %s" name jobs fmt in
-      Alcotest.(check bool) (tag "same bugs") true (o.Explorer.bugs = reference.Explorer.bugs);
-      Alcotest.(check bool)
-        (tag "same multi-rf") true
-        (o.Explorer.multi_rf = reference.Explorer.multi_rf);
-      Alcotest.(check bool) (tag "same perf") true (o.Explorer.perf = reference.Explorer.perf);
-      Alcotest.(check bool)
-        (tag "same findings") true
-        (o.Explorer.findings = reference.Explorer.findings);
-      Alcotest.(check bool)
-        (tag "same stats") true
-        (strip_time o.Explorer.stats = strip_time reference.Explorer.stats))
-    (Test_env.jobs_matrix ~default:[ 2; 3 ])
+  let run jobs =
+    Explorer.comparable_outcome
+      (Explorer.run ~config:{ config with Config.stop_at_first_bug = false; jobs } scenario)
+  in
+  Alcotest.(check bool) (name ^ ": jobs=3 = jobs=1") true (run 3 = run 1)
 
 let test_parallel_pmdk_case () =
   let c = List.hd (Pmdk.Workloads.fig12_cases ()) in
@@ -118,20 +104,8 @@ let test_parallel_clean_workload () =
 
 let test_parallel_multi_failure () =
   (* Deeper scenario spaces (two injected failures) split and merge too. *)
-  let base = 0x1000 in
-  let scn =
-    Explorer.scenario ~name:"multi-failure"
-      ~pre:(fun ctx ->
-        for i = 0 to 3 do
-          Ctx.store64 ctx ~label:"w" (base + (64 * i)) (i + 1);
-          Ctx.clflush ctx ~label:"f" (base + (64 * i)) 8
-        done)
-      ~post:(fun ctx ->
-        for i = 0 to 3 do
-          ignore (Ctx.load64 ctx ~label:"r" (base + (64 * i)))
-        done)
-  in
-  check_jobs_equivalence "multi-failure" scn { Config.default with Config.max_failures = 2 }
+  check_jobs_equivalence "multi-failure" Scenarios.flush_loop
+    { Config.default with Config.max_failures = 2 }
 
 let test_parallel_finds_seeded_bug () =
   (* A buggy case keeps reporting its bug (with identical deduplicated
@@ -145,7 +119,7 @@ let test_parallel_finds_seeded_bug () =
 
 let test_parallel_analysis_reports () =
   (* With the analysis passes on, the merged findings list must render
-     byte-identically for jobs = 1, 2 and 4 — the lint report is part of the
+     byte-identically across jobs values — the lint report is part of the
      determinism contract. *)
   let c = Recipe.Workloads.find (Recipe.Workloads.fig13_cases ()) "CCEH-1" in
   let run jobs =
@@ -164,14 +138,9 @@ let test_parallel_analysis_reports () =
   in
   let findings1, text1 = run 1 in
   Alcotest.(check bool) "analysis produced findings" true (findings1 <> []);
-  List.iter
-    (fun jobs ->
-      let findings, text = run jobs in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d same findings" jobs)
-        true (findings = findings1);
-      Alcotest.(check string) (Printf.sprintf "jobs=%d same rendering" jobs) text1 text)
-    (Test_env.jobs_matrix ~default:[ 2; 4 ])
+  let findings3, text3 = run 3 in
+  Alcotest.(check bool) "jobs=3 same findings" true (findings3 = findings1);
+  Alcotest.(check string) "jobs=3 same rendering" text1 text3
 
 let test_stats_merge_identity_and_sums () =
   let a =

@@ -1,6 +1,6 @@
 (* The failure-point snapshot/resume layer: outcomes must be byte-identical
-   with snapshots on or off for every --jobs value, while the pre-failure
-   program actually runs only once per decision path — plus regression tests
+   with snapshots on or off, while the pre-failure program actually runs
+   only once per decision path — plus regression tests
    for the replay-path fixes that ride along (clwb event kind, exact
    execution-budget accounting, parallel-section join/drain scope). *)
 open Jaaru
@@ -60,79 +60,45 @@ let test_choice_fast_forward () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* --- outcome equivalence: snapshot on/off x jobs --------------------------- *)
+(* --- outcome equivalence: snapshot on/off ----------------------------------- *)
 
-let outcome_text (o : Explorer.outcome) =
-  let o = { o with Explorer.stats = Stats.comparable o.Explorer.stats } in
-  Format.asprintf "%a" Explorer.pp_outcome o
-
+(* One domain, snapshots on against off, and proof the layer engaged. The
+   differential matrix in test_golden_reports.ml crosses these scenarios
+   with --jobs. *)
 let check_snapshot_equivalence name scenario config =
-  let config = { config with Config.stop_at_first_bug = false } in
-  let reference =
-    Explorer.run ~config:{ config with Config.snapshot = false; jobs = 1 } scenario
-  in
-  let ref_text = outcome_text reference in
+  let config = { config with Config.stop_at_first_bug = false; jobs = 1 } in
+  let run snapshot = Explorer.run ~config:{ config with Config.snapshot } scenario in
+  let reference = run false and o = run true in
   Alcotest.(check bool)
     (name ^ ": reference explored something") true
     (reference.Explorer.stats.Stats.executions > 0);
-  List.iter
-    (fun jobs ->
-      List.iter
-        (fun snapshot ->
-          let o =
-            Explorer.run ~config:{ config with Config.snapshot = snapshot; jobs } scenario
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: jobs=%d snapshot=%b byte-identical" name jobs snapshot)
-            ref_text (outcome_text o))
-        [ true; false ])
-    (Test_env.jobs_matrix ~default:[ 1; 2; 4 ])
-
-let flush_loop_scenario () =
-  Explorer.scenario ~name:"flush-loop"
-    ~pre:(fun ctx ->
-      for i = 0 to 3 do
-        Ctx.store64 ctx ~label:"w" (base + (64 * i)) (i + 1);
-        Ctx.clflush ctx ~label:"f" (base + (64 * i)) 8
-      done)
-    ~post:(fun ctx ->
-      for i = 0 to 3 do
-        ignore (Ctx.load64 ctx ~label:"r" (base + (64 * i)))
-      done)
+  Alcotest.(check string)
+    (name ^ ": snapshot on byte-identical")
+    (Format.asprintf "%a" Explorer.pp_report reference)
+    (Format.asprintf "%a" Explorer.pp_report o);
+  Alcotest.(check bool) (name ^ ": replays resumed from snapshots") true
+    (o.Explorer.stats.Stats.snapshot_hits > 0)
 
 let test_equivalence_eager () =
-  check_snapshot_equivalence "eager" (flush_loop_scenario ()) Config.default
+  check_snapshot_equivalence "eager" Scenarios.flush_loop Config.default
 
 let test_equivalence_buffered () =
-  check_snapshot_equivalence "buffered" (flush_loop_scenario ())
+  check_snapshot_equivalence "buffered" Scenarios.flush_loop
     { Config.default with Config.evict_policy = Config.Buffered }
 
 let test_equivalence_multi_failure () =
-  check_snapshot_equivalence "multi-failure" (flush_loop_scenario ())
+  check_snapshot_equivalence "multi-failure" Scenarios.flush_loop
     { Config.default with Config.max_failures = 2 }
 
 let test_equivalence_explicit_crash () =
-  (* [Ctx.crash] with a decision-free pre: the snapshot key is empty and
-     every replay after the first resumes straight at the crash. *)
-  let scn =
-    Explorer.scenario ~name:"explicit-crash"
-      ~pre:(fun ctx ->
-        Ctx.store64 ctx ~label:"a" base 1;
-        Ctx.store64 ctx ~label:"b" (base + 8) 2;
-        Ctx.crash ctx)
-      ~post:(fun ctx ->
-        ignore (Ctx.load64 ctx ~label:"ra" base);
-        ignore (Ctx.load64 ctx ~label:"rb" (base + 8)))
-  in
+  let scn = Scenarios.explicit_crash in
   check_snapshot_equivalence "explicit-crash eager" scn
     { Config.default with Config.max_failures = 0 };
-  (* Buffered: the drain prefix at the crash stays a live decision replayed
-     on the restored store buffers. *)
   check_snapshot_equivalence "explicit-crash buffered" scn
     { Config.default with Config.max_failures = 0; evict_policy = Config.Buffered }
 
 let test_equivalence_analysis () =
-  check_snapshot_equivalence "analysis" (flush_loop_scenario ())
+  check_snapshot_equivalence "analysis" Scenarios.flush_loop
     { Config.default with Config.analyze = true }
 
 let test_equivalence_pmdk () =
@@ -179,7 +145,7 @@ let test_snapshot_skips_pre () =
 (* --- execution budget: exact accounting ------------------------------------ *)
 
 let test_exact_budget_not_capped () =
-  let scn = flush_loop_scenario () in
+  let scn = Scenarios.flush_loop in
   let probe = Explorer.run ~config:Config.default scn in
   Alcotest.(check bool) "probe exhausts the space" true probe.Explorer.stats.Stats.exhausted;
   let e = probe.Explorer.stats.Stats.executions in
@@ -205,7 +171,7 @@ let test_exact_budget_not_capped () =
             (Printf.sprintf "budget=space-1 jobs=%d snapshot=%b: capped" jobs snapshot)
             false o.Explorer.stats.Stats.exhausted)
         [ true; false ])
-    (Test_env.jobs_matrix ~default:[ 1; 2; 4 ])
+    [ 1; 2; 4 ]
 
 (* --- clwb is a distinct flush kind ----------------------------------------- *)
 

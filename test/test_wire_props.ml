@@ -3,9 +3,8 @@
    - the packed arena encoding (Analysis.Arena / Trace) round-trips to
      exactly the boxed Analysis.Event stream it replaced;
    - the hand-rolled structural serializer (Pmem.Wire) round-trips its
-     primitives and is injective — two values produce equal bytes iff
-     [Marshal] with [No_sharing] considered them equal, the property the
-     Marshal-free checkpoint codec and trace-ring keys rely on. *)
+     primitives and is injective — two values produce equal bytes iff they
+     are equal, the property the Marshal-free checkpoint codec relies on. *)
 
 open Jaaru
 module Event = Analysis.Event
@@ -103,53 +102,6 @@ let prop_trace_roundtrip =
       && Trace.events ring = suffix evs depth
       && Trace.dropped ring = max 0 (n - depth))
 
-(* --- serializer vs Marshal ------------------------------------------------------ *)
-
-let serialize_events evs =
-  (* A fresh sink and a fresh intern table per call — and the table is
-     deliberately pre-polluted with a random prefix of labels, so equal keys
-     cannot come from shared intern ids, only from the table-independent
-     string form the serializer promises. *)
-  let labels = Arena.labels () in
-  List.iteri (fun i ev -> if i mod 2 = 0 then ignore (Arena.intern labels (Event.render ev))) evs;
-  let t = Trace.create ~labels ~depth:(max 1 (List.length evs)) () in
-  List.iter (Trace.add t) evs;
-  let sink = Wire.sink () in
-  Trace.serialize t sink;
-  Wire.contents sink
-
-(* Pairs biased towards equality (plain random pairs almost never collide,
-   leaving the iff's interesting direction untested): half the time the
-   second list is the first — sometimes rebuilt cons-by-cons so physical
-   sharing differs — otherwise an independent draw. *)
-let event_pair_gen =
-  QCheck.Gen.(
-    let* l1 = events_gen in
-    let* mode = int_range 0 3 in
-    let l2 =
-      match mode with
-      | 0 | 1 -> return (List.map Fun.id l1)
-      | 2 -> return (List.rev (List.rev_map Fun.id l1))
-      | _ -> events_gen
-    in
-    pair (return l1) l2)
-
-let event_pair_arb =
-  QCheck.make
-    ~print:(fun (a, b) -> events_print a ^ " / " ^ events_print b)
-    event_pair_gen
-
-let prop_serializer_iff_marshal =
-  QCheck.Test.make ~name:"wire keys equal iff Marshal No_sharing images equal" ~count:1000
-    event_pair_arb (fun (l1, l2) ->
-      let wire_eq = String.equal (serialize_events l1) (serialize_events l2) in
-      let marshal_eq =
-        String.equal
-          (Marshal.to_string l1 [ Marshal.No_sharing ])
-          (Marshal.to_string l2 [ Marshal.No_sharing ])
-      in
-      wire_eq = marshal_eq)
-
 (* --- wire primitives ------------------------------------------------------------ *)
 
 type prim =
@@ -235,7 +187,6 @@ let () =
         ] );
       ( "serializer",
         [
-          QCheck_alcotest.to_alcotest prop_serializer_iff_marshal;
           QCheck_alcotest.to_alcotest prop_wire_roundtrip;
           QCheck_alcotest.to_alcotest prop_wire_injective;
         ] );
