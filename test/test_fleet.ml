@@ -209,8 +209,8 @@ let test_merge_outcomes_differential () =
       in
       let o2 = Explorer.run ~config ~resume:remainder scn in
       let merged = Explorer.merge_outcomes ~config ~completed:true ~interrupted:false [ o1; o2 ] in
-      Alcotest.(check string) "merge of disjoint halves = uninterrupted run" (Lazy.force deep_report)
-        (report_text merged);
+      Alcotest.(check string) "merge of disjoint halves = uninterrupted run"
+        (Lazy.force deep_report) (report_text merged);
       Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted)
 
 (* --- the coordinator (in-process mode) -------------------------------------- *)
@@ -235,7 +235,8 @@ let test_coordinator_in_process_differential () =
     (report_text r.Fleet.Coordinator.outcome);
   Alcotest.(check bool) "nothing remaining" true (r.Fleet.Coordinator.remaining = []);
   Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
-  Alcotest.(check bool) "fell back in-process" true r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
+  Alcotest.(check bool) "fell back in-process" true
+    r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
   Alcotest.(check bool) "no quarantine" true
     (r.Fleet.Coordinator.fleet.Fleet.Coordinator.quarantined = [])
 

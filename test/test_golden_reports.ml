@@ -141,7 +141,8 @@ let pbt c = match c.subject with Pbt _ -> true | _ -> false
 
 let check_argv args = ("check" :: args) @ [ "--exhaustive" ]
 let chaos =
-  [ "--fleet-chaos"; "kill:0.3,hang:0.1,torn:0.2"; "--fleet-chaos-seed"; "7"; "--heartbeat-timeout"; "1" ]
+  [ "--fleet-chaos"; "kill:0.3,hang:0.1,torn:0.2"; "--fleet-chaos-seed"; "7" ]
+  @ [ "--heartbeat-timeout"; "1" ]
 
 let fleet ?(extra = []) workers args =
   ("fleet" :: List.hd args :: "--fleet-workers" :: string_of_int workers :: List.tl args) @ extra
@@ -244,7 +245,8 @@ let coordinator ~workers config scn =
 let line_after ~prefix path =
   let n = String.length prefix in
   List.find_map
-    (fun l -> if String.starts_with ~prefix l then Some (String.sub l n (String.length l - n)) else None)
+    (fun l ->
+      if String.starts_with ~prefix l then Some (String.sub l n (String.length l - n)) else None)
     (String.split_on_char '\n' (read_file path))
 
 (* SIGTERM a real `jaaru check` once it is exploring, then continue it by
@@ -294,7 +296,9 @@ let run_pbt config (structures, seed, count, max_cmds) =
 let references = Hashtbl.create 64
 
 let reference ~exhaustive:exh (c : case) =
-  let exh = match c.subject with Scenario (_, config) -> exh && config.stop_at_first_bug | _ -> exh in
+  let exh =
+    match c.subject with Scenario (_, config) -> exh && config.stop_at_first_bug | _ -> exh
+  in
   match Hashtbl.find_opt references (c.name, exh) with
   | Some r -> r
   | None ->
@@ -314,7 +318,9 @@ let run_cell (s : setting) (c : case) =
   match (c.subject, s.transform, s.how) with
   | Scenario (scn, config), Config f, how ->
       let config = f config in
-      let first_bug_sensitive = config.jobs > 1 || match how with Coordinator _ -> true | _ -> false in
+      let first_bug_sensitive =
+        config.jobs > 1 || match how with Coordinator _ -> true | _ -> false
+      in
       let config = if first_bug_sensitive then exhaustive config else config in
       ( reference ~exhaustive:first_bug_sensitive c,
         match how with

@@ -1,7 +1,7 @@
 (* Domain-parallel exploration: the Frontier work queue and the guarantee
    that exhaustive parallel runs report exactly what sequential runs do. The
    determinism cases run at jobs=3, an odd worker count; the differential
-   matrix in test_golden_reports.ml covers jobs 2 and 4 on every case. *)
+   matrix in test_golden_reports.ml covers jobs 2 and 4. *)
 open Jaaru
 
 (* --- Frontier ------------------------------------------------------------------ *)
