@@ -372,10 +372,11 @@ let mfence ctx ?(label = "mfence") () =
 
 (* --- loads -------------------------------------------------------------- *)
 
-(* Reads whose single candidate lives in the current execution — a store-
-   buffer bypass hit or a store this execution already made — carry no
-   persistency constraint ([do_read] is a no-op for them), record no multi-rf
-   report and consume no choice. [read_byte_slow] handles the rest; the fast
+(* Reads with a single candidate — a store-buffer bypass hit, a store this
+   execution already made, or a recovery load whose read-from walk finds one
+   store ([Read_from.read_single]) — add no persistency constraint ([do_read]
+   refines nothing for them), record no multi-rf report and consume no
+   choice. [read_byte_slow] handles the rest; without a bypass hit the
    checks here allocate nothing. *)
 let read_byte_slow ctx addr label =
   let candidates = Exec.Read_from.build_may_read_from ctx.stack addr in
@@ -403,7 +404,7 @@ let read_byte ctx addr label =
   match Tso.Thread_state.bypass ctx.cur addr with
   | Some (value, _) -> value
   | None ->
-      let b = Exec.Exec_record.last_store_byte (Exec.Exec_stack.top ctx.stack) addr in
+      let b = Exec.Read_from.read_single ctx.stack addr in
       if b >= 0 then b else read_byte_slow ctx addr label
 
 let load ctx ?(label = "load") ~width addr =

@@ -23,24 +23,16 @@ val initial : unit -> t
 val id : t -> int
 val is_initial : t -> bool
 
-val queue : t -> Pmem.Addr.t -> Store_queue.t
-(** The store history for one byte address, created empty on first use. *)
-
-val queue_opt : t -> Pmem.Addr.t -> Store_queue.t option
-(** Like {!queue} but without materialising an empty history. *)
-
 val cacheline : t -> Pmem.Addr.t -> Pmem.Interval.t
 (** A boxed {e copy} of the last-writeback interval of the line containing
     the given byte, created as [\[0, inf)] on first use. Read-only: the live
-    per-line state is unboxed (see {!line_bounds}); refinements must go
+    per-line state is unboxed (see {!line_lo}); refinements must go
     through {!raise_line_lo} / {!lower_line_hi}, and a copy taken before a
     refinement does not see it. *)
 
 val line_lo : t -> Pmem.Addr.t -> int
-(** The line's last-writeback lower bound, without boxing. *)
-
-val line_bounds : t -> Pmem.Addr.t -> int * int
-(** The line's [(lo, hi)] bounds, without boxing. *)
+val line_hi : t -> Pmem.Addr.t -> int
+(** The line's last-writeback bounds [lo] and [hi], as plain ints. *)
 
 val raise_line_lo : t -> Pmem.Addr.t -> seq:int -> unit
 (** Raises the line's lower bound to [seq] if higher (a flush took effect). *)
@@ -58,20 +50,32 @@ val flush_line : t -> Pmem.Addr.t -> seq:int -> unit
 
 (** {1 Bounded store accessors}
 
-    Read paths must use these instead of touching {!queue_opt} directly: a
-    snapshot view (below) shares the live record's queue table and hides
-    every store pushed after the capture behind a sequence-number bound, and
-    only these accessors apply that bound. On ordinary records they see the
-    whole queue. *)
+    Store histories are held in an int-keyed open-addressed table
+    ({!Pmem.Int_table}), so a lookup neither hashes polymorphically nor
+    allocates. A snapshot view (below) shares the live record's table and
+    hides every store pushed after the capture behind a sequence-number
+    bound; only these accessors apply that bound. On ordinary records they
+    see the whole history. *)
+
+val store_queue : t -> Pmem.Addr.t -> Store_queue.t
+(** The store history of [addr], or a shared empty queue if the address was
+    never stored to — read-only, never push into it. It may physically hold
+    stores this record hides: read only its first {!visible_length}
+    entries. *)
+
+val visible_length : t -> Pmem.Addr.t -> Store_queue.t -> int
+(** [visible_length t addr q], where [q] is [store_queue t addr], is how
+    many of [q]'s oldest entries [t] exposes; 0 when [addr] has no visible
+    store. Together the two are the allocation-free hot-path form of
+    {!visible_stores}. *)
 
 val has_stores : t -> Pmem.Addr.t -> bool
 (** Whether [addr] has at least one visible store. *)
 
 val visible_stores : t -> Pmem.Addr.t -> (Store_queue.t * int) option
-(** The store history of [addr] together with its visible length (the prefix
-    a snapshot view exposes), for unboxed indexed reads via
-    {!Store_queue.value_at} and friends. Indices [0 .. n-1] are visible; the
-    queue may physically hold more. *)
+(** The store history of [addr] together with its visible length, or [None]
+    when no store is visible; for cold paths. Indices [0 .. n-1] are
+    visible; the queue may physically hold more. *)
 
 val fold_stores : (Store_queue.entry -> 'a -> 'a) -> t -> Pmem.Addr.t -> 'a -> 'a
 (** Oldest-first fold over the visible stores of [addr]. *)
@@ -105,10 +109,14 @@ val snapshot_view : ?bound:int -> t -> t
     [Invalid_argument]. *)
 
 val snapshot_freeze : t -> t
-(** A private, physically truncated copy of a view: stores beyond the view's
-    bound are dropped and the copy is unbounded, so it may receive new
-    stores — needed for a restored top record under buffered eviction, where
-    the drain at the crash pushes the surviving buffer entries into it. *)
+(** A writable view: same [id], the stores visible in the given record now,
+    duplicated line intervals, and it accepts new stores — needed for a
+    restored top record under buffered eviction, where the drain at the
+    crash pushes the surviving buffer entries into it. The store histories
+    stay shared; the first store to an address after the freeze gives that
+    address a private copy of its visible history, so the original and
+    other views never see the new stores, nor the freeze later stores to
+    the original. A freeze costs O(lines touched), not O(stores). *)
 
 val store_count : t -> int
 (** Total byte stores recorded. *)
@@ -117,7 +125,9 @@ val flush_count : t -> int
 (** Total line-flush events recorded. *)
 
 val written_addrs : t -> Pmem.Addr.t list
-(** All byte addresses with at least one recorded store (unordered). *)
+(** All byte addresses with at least one visible store, in ascending order —
+    a fixed order, so callers summing over them (the Yat state counter) get
+    the same result whatever the table's layout. *)
 
 val unflushed_store_count : t -> Pmem.Addr.t -> int
 (** Number of stores to the byte that are not certainly persisted, i.e. with

@@ -14,8 +14,9 @@ val create : unit -> t
 val top : t -> Exec_record.t
 
 val prev : t -> Exec_record.t -> Exec_record.t
-(** [prev s e] is the execution immediately below [e]. Raises
-    [Invalid_argument] on the initial record or a record not in [s]. *)
+(** [prev s e] is the execution immediately below [e], found in constant
+    time by [e]'s id. Raises [Invalid_argument] on the initial record or an
+    id above the top of [s]. *)
 
 val push_fresh : t -> Exec_record.t
 (** Simulates a power failure: pushes and returns a new empty execution on
@@ -24,8 +25,9 @@ val push_fresh : t -> Exec_record.t
 val restore : t -> Exec_record.t list -> unit
 (** Replaces the whole stack with the given records (top first). The caller
     owns the records — the snapshot layer passes freshly materialised
-    copies. Raises [Invalid_argument] if the list is empty or its bottom is
-    not the {!Exec_record.initial} image. *)
+    copies. Raises [Invalid_argument] if the list is empty, its bottom is
+    not the {!Exec_record.initial} image, or the ids do not run from 0 at
+    the bottom up by one per record. *)
 
 val depth : t -> int
 (** Number of non-initial executions. 1 after {!create}. *)

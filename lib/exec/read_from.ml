@@ -30,23 +30,49 @@ let initial_source exec =
 let rec read_pre_failure stack e addr =
   if Exec_record.is_initial e then [ initial_source e ]
   else
-    let lo, hi = Exec_record.line_bounds e addr in
-    match Exec_record.visible_stores e addr with
-    | None -> read_pre_failure stack (Exec_stack.prev stack e) addr
-    | Some (q, n) ->
-        (* Newest index with seq <= lo, or -1; the window (lo, hi) is the
-           index range (idx_le_lo, first index with seq >= hi). *)
-        let idx_le_lo = Store_queue.count_le q lo - 1 in
-        let below_hi = min n (Store_queue.count_le q (hi - 1)) in
-        let wins = ref [] in
-        (* Ascending index walk with cons leaves the newest store (highest
-           index) at the head — the newest-first order callers rely on. *)
-        for i = idx_le_lo + 1 to below_hi - 1 do
-          wins := source_of_idx e q i :: !wins
-        done;
-        let wins = !wins in
-        if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
-        else wins @ read_pre_failure stack (Exec_stack.prev stack e) addr
+    let q = Exec_record.store_queue e addr in
+    let n = Exec_record.visible_length e addr q in
+    if n = 0 then read_pre_failure stack (Exec_stack.prev stack e) addr
+    else
+      (* Newest index with seq <= lo, or -1; the window (lo, hi) is the
+         index range (idx_le_lo, first index with seq >= hi). *)
+      let idx_le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) - 1 in
+      let below_hi = Int.min n (Store_queue.count_le q (Exec_record.line_hi e addr - 1)) in
+      let wins = ref [] in
+      (* Ascending index walk with cons leaves the newest store (highest
+         index) at the head — the newest-first order callers rely on. *)
+      for i = idx_le_lo + 1 to below_hi - 1 do
+        wins := source_of_idx e q i :: !wins
+      done;
+      let wins = !wins in
+      if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
+      else wins @ read_pre_failure stack (Exec_stack.prev stack e) addr
+
+(* The same walk as [read_pre_failure], counting instead of collecting. The
+   candidate list has one element exactly when every visited window (lo, hi)
+   is empty and the walk ends on a store at or before lo, or on the initial
+   image; any window store brings at least one more candidate from below it.
+   [do_read] on that lone candidate refines nothing: each record above the
+   source has its first store at or after hi (no window, no store at or
+   before lo), and in the source the chosen store is at or before lo and the
+   next one at or after hi, so every bound it would set is already implied.
+   Hence no refinement here, and no [source] is built. *)
+let rec single_pre_failure stack e addr =
+  if Exec_record.is_initial e then 0
+  else
+    let q = Exec_record.store_queue e addr in
+    let n = Exec_record.visible_length e addr q in
+    if n = 0 then single_pre_failure stack (Exec_stack.prev stack e) addr
+    else
+      let le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) in
+      if Int.min n (Store_queue.count_le q (Exec_record.line_hi e addr - 1)) > le_lo then -1
+      else if le_lo > 0 then Store_queue.value_at q (le_lo - 1)
+      else single_pre_failure stack (Exec_stack.prev stack e) addr
+
+let read_single stack addr =
+  let top = Exec_stack.top stack in
+  let b = Exec_record.last_store_byte top addr in
+  if b >= 0 then b else single_pre_failure stack (Exec_stack.prev stack top) addr
 
 let build_may_read_from ?sb_value stack addr =
   match sb_value with
@@ -71,9 +97,9 @@ let build_may_read_from ?sb_value stack addr =
    one to the source's execution, refining each line interval in place. *)
 let rec update_ranges stack ec addr src =
   if Exec_record.id ec <> Exec_record.id src.exec then begin
-    (match Exec_record.visible_stores ec addr with
-    | Some (q, _) -> Exec_record.lower_line_hi ec addr ~seq:(Store_queue.seq_at q 0)
-    | None -> ());
+    let q = Exec_record.store_queue ec addr in
+    if Exec_record.visible_length ec addr q > 0 then
+      Exec_record.lower_line_hi ec addr ~seq:(Store_queue.seq_at q 0);
     update_ranges stack (Exec_stack.prev stack ec) addr src
   end
   else if Exec_record.is_initial ec then ()

@@ -29,6 +29,14 @@ val build_may_read_from :
     pre-failure executions via [ReadPreFailure] (lines 7–13). The result is
     never empty: the initial all-zero image backstops the recursion. *)
 
+val read_single : Exec_stack.t -> Pmem.Addr.t -> int
+(** The allocation-free common case of a load without store-buffer bypass:
+    if [build_may_read_from stack addr] would return exactly one candidate,
+    its byte value (in [0, 255]), else [-1]. The intervals are left as
+    [do_read] on that lone candidate would leave them, since it refines
+    nothing; so a non-negative result is the whole load, with no choice
+    consumed. Computes no candidate list and builds no {!source}. *)
+
 val do_read : Exec_stack.t -> Pmem.Addr.t -> source -> unit
 (** Commits the load to one source and refines last-writeback intervals of
     previous executions (Fig. 10): each failed execution newer than the

@@ -43,7 +43,7 @@ let copy q =
   { values = Array.copy q.values; seqs = Array.copy q.seqs; labels = Array.copy q.labels; len = q.len }
 
 let truncated_copy q n =
-  let n = min n q.len in
+  let n = Int.min n q.len in
   {
     values = Array.sub q.values 0 n;
     seqs = Array.sub q.seqs 0 n;
@@ -73,18 +73,20 @@ let get q i =
 let first q = if q.len = 0 then None else Some (get q 0)
 let last q = if q.len = 0 then None else Some (get q (q.len - 1))
 
-let count_le q s =
-  (* Binary search: number of entries with seq <= s (seqs strictly increase). *)
-  let rec loop lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Array.unsafe_get q.seqs mid <= s then loop (mid + 1) hi else loop lo mid
-  in
-  loop 0 q.len
+(* Index of the oldest entry with seq > s in [lo, hi), by binary search
+   (seqs strictly increase). A top-level function rather than a local
+   closure, so the read path's searches allocate nothing. *)
+let rec first_above (seqs : int array) s lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if Array.unsafe_get seqs mid <= s then first_above seqs s (mid + 1) hi
+    else first_above seqs s lo mid
+
+let count_le q s = first_above q.seqs s 0 q.len
 
 let fold_prefix f q n acc =
-  let n = min n q.len in
+  let n = Int.min n q.len in
   let acc = ref acc in
   for i = 0 to n - 1 do
     acc := f (get q i) !acc
@@ -92,14 +94,8 @@ let fold_prefix f q n acc =
   !acc
 
 let next_seq_after q s =
-  (* Binary search for the oldest entry with seq > s. *)
-  let rec loop lo hi =
-    if lo >= hi then if lo >= q.len then Pmem.Interval.infinity else q.seqs.(lo)
-    else
-      let mid = (lo + hi) / 2 in
-      if Array.unsafe_get q.seqs mid <= s then loop (mid + 1) hi else loop lo mid
-  in
-  loop 0 q.len
+  let i = first_above q.seqs s 0 q.len in
+  if i >= q.len then Pmem.Interval.infinity else Array.unsafe_get q.seqs i
 
 let fold f q acc = fold_prefix f q q.len acc
 

@@ -4,29 +4,69 @@ type entry =
   | Clflushopt of { addr : Pmem.Addr.t; enq_seq : int; label : string }
   | Sfence
 
-type t = { q : entry Queue.t }
+(* A ring over [buf]: the oldest entry is at [head], the [len] live entries
+   follow it, wrapping at the end of the array. Free slots hold [Sfence], a
+   constant constructor, so a dequeued or cleared entry is not kept
+   reachable. *)
+type t = { mutable buf : entry array; mutable head : int; mutable len : int }
 
-let create () = { q = Queue.create () }
-let is_empty sb = Queue.is_empty sb.q
-let length sb = Queue.length sb.q
-let enqueue sb e = Queue.add e sb.q
-let dequeue sb = Queue.take_opt sb.q
+let create () = { buf = [||]; head = 0; len = 0 }
+let is_empty sb = sb.len = 0
+let length sb = sb.len
 
-let bypass sb a =
-  (* Newest matching store wins: scan the whole FIFO, keep the last hit. *)
-  Queue.fold
-    (fun acc e ->
-      match e with
-      | Store { addr; value; width; label } when a >= addr && a < addr + width ->
-          Some (Pmem.Bytes_le.byte_at ~width value (a - addr), label)
-      | Store _ | Clflush _ | Clflushopt _ | Sfence -> acc)
-    None sb.q
+(* Slot of the [i]-th oldest live entry. *)
+let slot sb i =
+  let j = sb.head + i in
+  let cap = Array.length sb.buf in
+  if j >= cap then j - cap else j
+
+let grow sb =
+  let buf = Array.make (Int.max 8 (2 * sb.len)) Sfence in
+  for i = 0 to sb.len - 1 do
+    buf.(i) <- sb.buf.(slot sb i)
+  done;
+  sb.buf <- buf;
+  sb.head <- 0
+
+let enqueue sb e =
+  if sb.len = Array.length sb.buf then grow sb;
+  sb.buf.(slot sb sb.len) <- e;
+  sb.len <- sb.len + 1
+
+let dequeue sb =
+  if sb.len = 0 then None
+  else begin
+    let e = sb.buf.(sb.head) in
+    sb.buf.(sb.head) <- Sfence;
+    sb.head <- slot sb 1;
+    sb.len <- sb.len - 1;
+    Some e
+  end
+
+(* Newest-first scan that stops at the first store covering [a]: the TSO
+   forwarding rule. A top-level loop, not a closure, so a miss allocates
+   nothing. *)
+let rec bypass_from sb a i =
+  if i < 0 then None
+  else
+    match sb.buf.(slot sb i) with
+    | Store { addr; value; width; label } when a >= addr && a < addr + width ->
+        Some (Pmem.Bytes_le.byte_at ~width value (a - addr), label)
+    | Store _ | Clflush _ | Clflushopt _ | Sfence -> bypass_from sb a (i - 1)
+
+let bypass sb a = bypass_from sb a (sb.len - 1)
 
 let pending_writes sb =
-  Queue.fold
-    (fun acc e -> acc || match e with Store _ -> true | Clflush _ | Clflushopt _ | Sfence -> false)
-    false sb.q
+  let rec from i =
+    i < sb.len
+    && match sb.buf.(slot sb i) with Store _ -> true | Clflush _ | Clflushopt _ | Sfence -> from (i + 1)
+  in
+  from 0
 
-let copy sb = { q = Queue.copy sb.q }
-let entries sb = List.of_seq (Queue.to_seq sb.q)
-let clear sb = Queue.clear sb.q
+let copy sb = { buf = Array.init sb.len (fun i -> sb.buf.(slot sb i)); head = 0; len = sb.len }
+let entries sb = List.init sb.len (fun i -> sb.buf.(slot sb i))
+
+let clear sb =
+  Array.fill sb.buf 0 (Array.length sb.buf) Sfence;
+  sb.head <- 0;
+  sb.len <- 0

@@ -29,13 +29,15 @@ val dequeue : t -> entry option
 
 val bypass : t -> Pmem.Addr.t -> (int * string) option
 (** [bypass sb a] is the value (and store label) the newest buffered store
-    writes to byte [a], if any — the TSO load-forwarding path. *)
+    writes to byte [a], if any — the TSO load-forwarding path. Scans newest
+    first and stops at the first hit; a miss allocates nothing. *)
 
 val pending_writes : t -> bool
 (** Whether any buffered entry is a store. *)
 
 val copy : t -> t
-(** An independent copy of the FIFO; entries are immutable and shared. *)
+(** An independent copy of the FIFO, holding only the live entries; entries
+    are immutable and shared. *)
 
 val entries : t -> entry list
 (** Oldest first. *)

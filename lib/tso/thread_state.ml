@@ -2,27 +2,33 @@ type t = {
   tid : int;
   sb : Store_buffer.t;
   fb : Flush_buffer.t;
-  line_ts : (int, int) Hashtbl.t;  (* t_{τ,line}: last store/clflush to the line *)
+  line_ts : int Pmem.Int_table.t;  (* t_{τ,line}: last store/clflush to the line, 0 if none *)
   mutable fence_ts : int;  (* t_τ: last sfence *)
 }
 
 let create ~tid =
-  { tid; sb = Store_buffer.create (); fb = Flush_buffer.create (); line_ts = Hashtbl.create 16; fence_ts = 0 }
+  {
+    tid;
+    sb = Store_buffer.create ();
+    fb = Flush_buffer.create ();
+    line_ts = Pmem.Int_table.create ~default:0;
+    fence_ts = 0;
+  }
 
 let copy th =
   {
     tid = th.tid;
     sb = Store_buffer.copy th.sb;
     fb = Flush_buffer.copy th.fb;
-    line_ts = Hashtbl.copy th.line_ts;
+    line_ts = Pmem.Int_table.copy th.line_ts;
     fence_ts = th.fence_ts;
   }
 
 let tid th = th.tid
 let store_buffer th = th.sb
 let flush_buffer th = th.fb
-let line_ts th line = Option.value ~default:0 (Hashtbl.find_opt th.line_ts line)
-let set_line_ts th line seq = Hashtbl.replace th.line_ts line seq
+let line_ts th line = Pmem.Int_table.find th.line_ts line
+let set_line_ts th line seq = Pmem.Int_table.replace th.line_ts line seq
 
 (* Phase one: enqueue (Fig. 7). *)
 
@@ -59,7 +65,7 @@ let apply th (sink : Sink.t) entry =
       set_line_ts th (Pmem.Addr.line_of addr) seq
   | Store_buffer.Clflushopt { addr; enq_seq; label = _ } ->
       let line = Pmem.Addr.line_of addr in
-      let bound = max enq_seq (max (line_ts th line) th.fence_ts) in
+      let bound = Int.max enq_seq (Int.max (line_ts th line) th.fence_ts) in
       Flush_buffer.add th.fb { Flush_buffer.addr; bound }
   | Store_buffer.Sfence ->
       let seq = sink.next_seq () in
@@ -84,5 +90,5 @@ let bypass th addr = Store_buffer.bypass th.sb addr
 let reset th =
   Store_buffer.clear th.sb;
   Flush_buffer.clear th.fb;
-  Hashtbl.reset th.line_ts;
+  Pmem.Int_table.reset th.line_ts;
   th.fence_ts <- 0

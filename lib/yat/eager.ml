@@ -17,24 +17,23 @@ let snapshot_record record =
   let by_line : (int, (Pmem.Addr.t * (int * int) list) list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun addr ->
-      match Exec.Exec_record.queue_opt record addr with
-      | None -> ()
-      | Some q ->
-          let entries =
-            List.map (fun e -> (e.Exec.Store_queue.seq, e.Exec.Store_queue.value))
-              (Exec.Store_queue.to_list q)
-          in
-          let line = Pmem.Addr.line_of addr in
-          let cell =
-            match Hashtbl.find_opt by_line line with
-            | Some c -> c
-            | None ->
-                let c = ref [] in
-                Hashtbl.add by_line line c;
-                c
-          in
-          cell := (addr, entries) :: !cell)
-    (List.sort compare (Exec.Exec_record.written_addrs record));
+      let entries =
+        Exec.Exec_record.fold_stores
+          (fun e acc -> (e.Exec.Store_queue.seq, e.Exec.Store_queue.value) :: acc)
+          record addr []
+        |> List.rev
+      in
+      let line = Pmem.Addr.line_of addr in
+      let cell =
+        match Hashtbl.find_opt by_line line with
+        | Some c -> c
+        | None ->
+            let c = ref [] in
+            Hashtbl.add by_line line c;
+            c
+      in
+      cell := (addr, entries) :: !cell)
+    (Exec.Exec_record.written_addrs record);
   Hashtbl.fold
     (fun line cell acc ->
       let byte_entries = List.rev !cell in

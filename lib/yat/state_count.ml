@@ -7,23 +7,19 @@ let unflushed_events_by_line record =
   let by_line : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun addr ->
-      match Exec.Exec_record.queue_opt record addr with
-      | None -> ()
-      | Some q ->
-          let line = Pmem.Addr.line_of addr in
-          let lo = Pmem.Interval.lo (Exec.Exec_record.cacheline record addr) in
-          let seqs =
-            match Hashtbl.find_opt by_line line with
-            | Some s -> s
-            | None ->
-                let s = Hashtbl.create 8 in
-                Hashtbl.add by_line line s;
-                s
-          in
-          Exec.Store_queue.fold
-            (fun entry () ->
-              if entry.Exec.Store_queue.seq > lo then Hashtbl.replace seqs entry.seq ())
-            q ())
+      let line = Pmem.Addr.line_of addr in
+      let lo = Pmem.Interval.lo (Exec.Exec_record.cacheline record addr) in
+      let seqs =
+        match Hashtbl.find_opt by_line line with
+        | Some s -> s
+        | None ->
+            let s = Hashtbl.create 8 in
+            Hashtbl.add by_line line s;
+            s
+      in
+      Exec.Exec_record.fold_stores
+        (fun entry () -> if entry.Exec.Store_queue.seq > lo then Hashtbl.replace seqs entry.seq ())
+        record addr ())
     (Exec.Exec_record.written_addrs record);
   by_line
 

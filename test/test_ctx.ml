@@ -313,6 +313,28 @@ let test_in_recovery_flag () =
   Alcotest.(check bool) "pre says false" true (List.mem false !saw);
   Alcotest.(check bool) "post says true" true (List.mem true !saw)
 
+(* Pins the recovery read path allocation-free. After a flushed line's
+   crash every byte of it has exactly one read-from candidate, the common
+   case in every exploration; such a load must not build candidate lists or
+   source records. Event emission (trace ring, analysis passes) is switched
+   off: it is not part of the read path. *)
+let test_single_candidate_load_allocates_nothing () =
+  let config = { Config.default with Config.trace_depth = 0; report_perf = false } in
+  let ctx = Ctx.create ~config ~choice:(Choice.create ()) () in
+  for i = 0 to 7 do
+    Ctx.store64 ctx ~label:"w" (base + (8 * i)) (i + 1)
+  done;
+  Ctx.clflush ctx ~label:"fl" base 64;
+  (try Ctx.crash ctx with Ctx.Power_failure -> ());
+  Ctx.after_crash ctx;
+  Alcotest.(check int) "reads the flushed value" 3 (Ctx.load64 ctx ~label:"r" (base + 16));
+  let loads = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to loads do
+    ignore (Sys.opaque_identity (Ctx.load64 ctx ~label:"r" (base + (8 * (i land 7)))))
+  done;
+  Alcotest.(check (float 0.)) "minor words over the loads" 0. (Gc.minor_words () -. before)
+
 let () =
   Alcotest.run "ctx"
     [
@@ -346,6 +368,8 @@ let () =
           Alcotest.test_case "buffered store lost" `Quick test_buffered_store_lost_at_crash;
           Alcotest.test_case "multi-failure depth" `Quick test_multi_failure_depth;
           Alcotest.test_case "cross-recovery reads" `Quick test_multi_failure_reads_previous_recovery;
+          Alcotest.test_case "single-candidate load allocates nothing" `Quick
+            test_single_candidate_load_allocates_nothing;
         ] );
       ( "misc",
         [

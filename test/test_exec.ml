@@ -47,9 +47,9 @@ let test_exec_record () =
   Exec.Exec_record.push_store e 200 ~value:9 ~seq:3 ~label:"c";
   Alcotest.(check int) "store count" 3 (Exec.Exec_record.store_count e);
   Alcotest.(check int) "queue length" 2
-    (Exec.Store_queue.length (Exec.Exec_record.queue e 100));
+    (Exec.Exec_record.visible_length e 100 (Exec.Exec_record.store_queue e 100));
   Alcotest.(check bool) "no queue for untouched" true
-    (Exec.Exec_record.queue_opt e 300 = None);
+    (Exec.Exec_record.visible_stores e 300 = None);
   Alcotest.(check int) "unflushed before flush" 2 (Exec.Exec_record.unflushed_store_count e 100);
   Exec.Exec_record.flush_line e 100 ~seq:5;
   Alcotest.(check int) "unflushed after flush" 0 (Exec.Exec_record.unflushed_store_count e 100);
@@ -237,6 +237,209 @@ let prop_do_read_narrows =
           && List.length after <= List.length cands)
         before)
 
+(* --- model-based properties ---------------------------------------------- *)
+
+(* Records, views and writable views against a naive model: per record, the
+   list of stores it shows (addr, value, seq; oldest first) and each line's
+   last-writeback lower bound. Addresses span three cache lines. *)
+type model = { stores : (int * int * int) list; lows : (int * int) list; writable : bool }
+
+type cmd =
+  | Push of int * int * int  (** handle, addr, value *)
+  | Flush of int * int  (** handle, addr *)
+  | View of int * int  (** handle, how far the bound lags the newest seq *)
+  | Freeze of int  (** handle *)
+
+let lines = [ 0; 1; 2 ]
+let all_addrs = List.concat_map (fun l -> List.init 4 (fun o -> (64 * l) + o)) lines
+let gen_addr = QCheck2.Gen.(map2 (fun l o -> (64 * l) + o) (int_range 0 2) (int_range 0 3))
+let gen_handle = QCheck2.Gen.int_range 0 15
+
+let gen_cmd =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map3 (fun h a v -> Push (h, a, v)) gen_handle gen_addr (int_range 0 255));
+        (2, map2 (fun h a -> Flush (h, a)) gen_handle gen_addr);
+        (1, map2 (fun h lag -> View (h, lag)) gen_handle (int_range 0 3));
+        (1, map (fun h -> Freeze h) gen_handle);
+      ])
+
+let print_cmd = function
+  | Push (h, a, v) -> Printf.sprintf "push h%d %d=%d" h a v
+  | Flush (h, a) -> Printf.sprintf "flush h%d %d" h a
+  | View (h, lag) -> Printf.sprintf "view h%d lag %d" h lag
+  | Freeze h -> Printf.sprintf "freeze h%d" h
+
+let model_lo m line = Option.value ~default:0 (List.assoc_opt line m.lows)
+
+(* Every accessor of [r] agrees with its model. *)
+let agrees r m =
+  let of_addr a = List.filter (fun (a', _, _) -> a' = a) m.stores in
+  let addr_ok a =
+    let mine = of_addr a in
+    let seqs = List.map (fun (_, _, s) -> s) mine in
+    let next s = match List.filter (fun x -> x > s) seqs with x :: _ -> x | [] -> Pmem.Interval.infinity in
+    let lo = model_lo m (Pmem.Addr.line_of a) in
+    Exec.Exec_record.fold_stores (fun e acc -> (a, e.Exec.Store_queue.value, e.seq) :: acc) r a []
+    = List.rev mine
+    && Exec.Exec_record.last_store_byte r a
+       = (match List.rev mine with (_, v, _) :: _ -> v | [] -> -1)
+    && Exec.Exec_record.has_stores r a = (mine <> [])
+    && List.for_all (fun s -> Exec.Exec_record.next_store_seq_after r a s = next s) (0 :: seqs)
+    && Exec.Exec_record.unflushed_store_count r a = List.length (List.filter (fun s -> s > lo) seqs)
+    && Exec.Exec_record.line_lo r a = lo
+  in
+  List.for_all addr_ok all_addrs
+  && Exec.Exec_record.written_addrs r
+     = List.sort_uniq compare (List.map (fun (a, _, _) -> a) m.stores)
+
+let prop_record_matches_model =
+  QCheck2.Test.make ~count:300 ~name:"records, views and freezes match a list model"
+    ~print:(fun cmds -> String.concat "; " (List.map print_cmd cmds))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_cmd)
+    (fun cmds ->
+      let seq = ref 0 in
+      let handles = ref [ (Exec.Exec_record.create ~id:1, { stores = []; lows = []; writable = true }) ] in
+      let pick h = List.nth !handles (h mod List.length !handles) in
+      let add hm = handles := !handles @ [ hm ] in
+      List.for_all
+        (fun cmd ->
+          let ok =
+            match cmd with
+            | Push (h, a, value) ->
+                let r, m = pick h in
+                incr seq;
+                if m.writable then begin
+                  Exec.Exec_record.push_store r a ~value ~seq:!seq ~label:"w";
+                  handles :=
+                    List.map
+                      (fun (r', m') -> if r' == r then (r', { m' with stores = m'.stores @ [ (a, value, !seq) ] }) else (r', m'))
+                      !handles;
+                  true
+                end
+                else begin
+                  match Exec.Exec_record.push_store r a ~value ~seq:!seq ~label:"w" with
+                  | () -> false
+                  | exception Invalid_argument _ -> true
+                end
+            | Flush (h, a) ->
+                let r, _ = pick h in
+                incr seq;
+                Exec.Exec_record.flush_line r a ~seq:!seq;
+                let line = Pmem.Addr.line_of a in
+                handles :=
+                  List.map
+                    (fun (r', m') ->
+                      if r' == r then
+                        (r', { m' with lows = (line, max !seq (model_lo m' line)) :: List.remove_assoc line m'.lows })
+                      else (r', m'))
+                    !handles;
+                true
+            | View (h, lag) ->
+                let r, m = pick h in
+                let bound = max 0 (!seq - lag) in
+                add
+                  ( Exec.Exec_record.snapshot_view ~bound r,
+                    { m with stores = List.filter (fun (_, _, s) -> s <= bound) m.stores; writable = false } );
+                true
+            | Freeze h ->
+                let r, m = pick h in
+                add (Exec.Exec_record.snapshot_freeze r, { m with writable = true });
+                true
+          in
+          ok && List.for_all (fun (r, m) -> agrees r m) !handles)
+        cmds)
+
+(* Random execution stacks: stores and flushes into the top record, crashes,
+   restores of the whole stack from snapshot views (a writable top, as under
+   buffered eviction), and reads that commit to a chosen candidate. Two
+   stacks are built in lockstep so a read can be taken through
+   [read_single] on one and through [do_read] on the other. *)
+type step =
+  | S_push of int * int
+  | S_flush of int
+  | S_crash
+  | S_restore
+  | S_read of int * int  (** addr, which candidate to commit to *)
+
+let gen_step =
+  QCheck2.Gen.(
+    frequency
+      [
+        (5, map2 (fun a v -> S_push (a, v)) gen_addr (int_range 0 255));
+        (2, map (fun a -> S_flush a) gen_addr);
+        (1, pure S_crash);
+        (1, pure S_restore);
+        (4, map2 (fun a k -> S_read (a, k)) gen_addr (int_range 0 7));
+      ])
+
+let print_step = function
+  | S_push (a, v) -> Printf.sprintf "push %d=%d" a v
+  | S_flush a -> Printf.sprintf "flush %d" a
+  | S_crash -> "crash"
+  | S_restore -> "restore"
+  | S_read (a, k) -> Printf.sprintf "read %d #%d" a k
+
+let intervals s =
+  List.concat_map
+    (fun e ->
+      List.map
+        (fun l ->
+          let a = 64 * l in
+          (Exec.Exec_record.line_lo e a, Exec.Exec_record.line_hi e a))
+        lines)
+    (Exec.Exec_stack.to_list s)
+
+let prop_single_read_matches_do_read =
+  QCheck2.Test.make ~count:500 ~name:"read_single = the lone candidate of build_may_read_from"
+    ~print:(fun steps -> String.concat "; " (List.map print_step steps))
+    QCheck2.Gen.(list_size (int_range 1 40) gen_step)
+    (fun steps ->
+      let s1 = Exec.Exec_stack.create () and s2 = Exec.Exec_stack.create () in
+      let seq = ref 0 in
+      let both f = f s1; f s2 in
+      List.for_all
+        (fun step ->
+          match step with
+          | S_push (a, value) ->
+              incr seq;
+              both (fun s ->
+                  Exec.Exec_record.push_store (Exec.Exec_stack.top s) a ~value ~seq:!seq ~label:"w");
+              true
+          | S_flush a ->
+              incr seq;
+              both (fun s -> Exec.Exec_record.flush_line (Exec.Exec_stack.top s) a ~seq:!seq);
+              true
+          | S_crash ->
+              both (fun s -> ignore (Exec.Exec_stack.push_fresh s));
+              true
+          | S_restore ->
+              both (fun s ->
+                  Exec.Exec_stack.restore s
+                    (List.mapi
+                       (fun i e ->
+                         if Exec.Exec_record.is_initial e then e
+                         else if i = 0 then
+                           Exec.Exec_record.snapshot_freeze (Exec.Exec_record.snapshot_view ~bound:!seq e)
+                         else Exec.Exec_record.snapshot_view e)
+                       (Exec.Exec_stack.to_list s)));
+              true
+          | S_read (a, k) ->
+              let c1 = Exec.Read_from.build_may_read_from s1 a in
+              let c2 = Exec.Read_from.build_may_read_from s2 a in
+              let single = Exec.Read_from.read_single s1 a in
+              let agree =
+                match c1 with
+                | [ only ] -> single = only.Exec.Read_from.value
+                | _ -> single = -1
+              in
+              let k = k mod List.length c1 in
+              if single < 0 then Exec.Read_from.do_read s1 a (List.nth c1 k);
+              Exec.Read_from.do_read s2 a (List.nth c2 k);
+              agree && intervals s1 = intervals s2)
+        steps)
+
 let () =
   Alcotest.run "exec"
     [
@@ -263,5 +466,10 @@ let () =
           Alcotest.test_case "two failures deep" `Quick test_rf_two_failures_deep;
           QCheck_alcotest.to_alcotest prop_candidates_match_reference;
           QCheck_alcotest.to_alcotest prop_do_read_narrows;
+        ] );
+      ( "model",
+        [
+          QCheck_alcotest.to_alcotest prop_record_matches_model;
+          QCheck_alcotest.to_alcotest prop_single_read_matches_do_read;
         ] );
     ]

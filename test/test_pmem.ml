@@ -96,6 +96,52 @@ let test_region () =
     (Invalid_argument "Region.v: base must be positive and cache-line aligned") (fun () ->
       ignore (Pmem.Region.v ~base:0x1001 ~size:64))
 
+(* The int-keyed table against an association list, across growth (keys
+   spread well past the initial 16 slots), copies that must stay
+   independent of their source, and resets. *)
+type table_op = Replace of int * int | Copy | Reset
+
+let prop_int_table_model =
+  QCheck2.Test.make ~count:100 ~name:"Int_table = association-list model"
+    QCheck2.Gen.(
+      list_size (int_range 1 200)
+        (frequency
+           [
+             (20, map2 (fun k v -> Replace (k, v)) (int_range 0 300) (int_range 1 1000));
+             (1, pure Copy);
+             (1, pure Reset);
+           ]))
+    (fun ops ->
+      let t = ref (Pmem.Int_table.create ~default:0) and model = ref [] in
+      let agrees t model =
+        List.for_all (fun k -> Pmem.Int_table.find t k = Option.value ~default:0 (List.assoc_opt k model))
+          (List.init 302 (fun k -> k - 1))
+        &&
+        let bound = ref [] in
+        Pmem.Int_table.iter (fun k v -> bound := (k, v) :: !bound) t;
+        List.sort compare !bound = List.sort compare model
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Replace (k, v) ->
+              Pmem.Int_table.replace !t k v;
+              model := (k, v) :: List.remove_assoc k !model;
+              agrees !t !model
+          | Copy ->
+              let before = !model in
+              let c = Pmem.Int_table.copy !t in
+              Pmem.Int_table.replace !t 0 (-7);
+              let ok = agrees c before in
+              t := c;
+              model := before;
+              ok
+          | Reset ->
+              Pmem.Int_table.reset !t;
+              model := [];
+              agrees !t !model)
+        ops)
+
 let () =
   Alcotest.run "pmem"
     [
@@ -120,4 +166,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_crc_discriminates;
         ] );
       ("region", [ Alcotest.test_case "bounds" `Quick test_region ]);
+      ("int-table", [ QCheck_alcotest.to_alcotest prop_int_table_model ]);
     ]
