@@ -447,13 +447,27 @@ let lint_cmd =
 
 (* --- yat ------------------------------------------------------------------ *)
 
+(* The eager count runs the pre-failure program once, with no failure
+   injected; a bug that run hits (a seeded race, say) ends the count. *)
+let yat_analyze ~config name pre =
+  match Yat.State_count.analyze ~config pre with
+  | t -> Ok t
+  | exception Jaaru.Bug.Found (kind, location) ->
+      let bug = { Jaaru.Bug.kind; location; exec_depth = 0; trace = []; dropped = 0 } in
+      Error
+        (`Msg
+          (Printf.sprintf "%s: eager count stopped, the pre-failure run found a bug: %s" name
+             (Jaaru.Bug.symptom bug)))
+
 let yat_run id =
   match find_entry id with
   | Error e -> Error e
-  | Ok entry ->
-      let t = Yat.State_count.analyze ~config:entry.config (fun ctx -> entry.scenario.pre ctx) in
-      Format.printf "%s: %a@." entry.id Yat.State_count.pp t;
-      Ok ()
+  | Ok entry -> (
+      match yat_analyze ~config:entry.config entry.id (fun ctx -> entry.scenario.pre ctx) with
+      | Error e -> Error e
+      | Ok t ->
+          Format.printf "%s: %a@." entry.id Yat.State_count.pp t;
+          Ok ())
 
 let yat_cmd =
   let doc = "Count the post-failure states an eager (Yat-style) checker would explore" in
@@ -487,10 +501,13 @@ let perf_run benchmark n jobs snapshot =
       let dt = Unix.gettimeofday () -. t0 in
       Format.printf "%s n=%d: %a@." benchmark n Jaaru.Explorer.pp_outcome o;
       Format.printf "wall time: %.3fs@." dt;
-      let yat = Yat.State_count.analyze ~config (fun ctx -> scn.pre ctx) in
-      Format.printf "eager baseline would explore %a states@." Yat.State_count.pp_count
-        yat.Yat.State_count.log10_total;
-      if Jaaru.Explorer.found_bug o then Error (`Msg "fixed benchmark reported a bug") else Ok ()
+      match yat_analyze ~config benchmark (fun ctx -> scn.pre ctx) with
+      | Error e -> Error e
+      | Ok yat ->
+          Format.printf "eager baseline would explore %a states@." Yat.State_count.pp_count
+            yat.Yat.State_count.log10_total;
+          if Jaaru.Explorer.found_bug o then Error (`Msg "fixed benchmark reported a bug")
+          else Ok ()
 
 let perf_cmd =
   let doc = "Exhaustively explore a fixed RECIPE benchmark and report statistics" in

@@ -40,6 +40,7 @@ type t = {
   cancel : bool Atomic.t option;
       (* watchdog flag: set by the monitor when this execution blows its
          wall-clock deadline, observed (and consumed) at the next [step] *)
+  span : int array;  (* a load's bytes while [read] resolves them *)
 }
 
 let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
@@ -117,6 +118,7 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
       | None -> 0);
     snapshots;
     cancel;
+    span = Array.make Pmem.Bytes_le.max_width (-1);
   }
 
 let set_failure_point_hook ctx hook = ctx.fp_hook <- Some hook
@@ -372,12 +374,9 @@ let mfence ctx ?(label = "mfence") () =
 
 (* --- loads -------------------------------------------------------------- *)
 
-(* Reads with a single candidate — a store-buffer bypass hit, a store this
-   execution already made, or a recovery load whose read-from walk finds one
-   store ([Read_from.read_single]) — add no persistency constraint ([do_read]
-   refines nothing for them), record no multi-rf report and consume no
-   choice. [read_byte_slow] handles the rest; without a bypass hit the
-   checks here allocate nothing. *)
+(* A byte with several read-from candidates: record the multi-rf report,
+   consume a [Choice.Read_from] decision and commit to the chosen store,
+   refining the line intervals of the records it passes. *)
 let read_byte_slow ctx addr label =
   let candidates = Exec.Read_from.build_may_read_from ctx.stack addr in
   let src =
@@ -400,22 +399,41 @@ let read_byte_slow ctx addr label =
   Exec.Read_from.do_read ctx.stack addr src;
   src.Exec.Read_from.value
 
-let read_byte ctx addr label =
-  match Tso.Thread_state.bypass ctx.cur addr with
-  | Some (value, _) -> value
-  | None ->
-      let b = Exec.Read_from.read_single ctx.stack addr in
-      if b >= 0 then b else read_byte_slow ctx addr label
+(* One load, resolved in one pass: a store-buffer scan fills the forwarded
+   bytes into the context's scratch array, then one stack walk
+   ([Read_from.read_single_span]) resolves every other byte that has a
+   single candidate. Such bytes add no persistency constraint, record no
+   multi-rf report and consume no choice, and when every byte is one of
+   them the load allocates nothing. From the first byte with several
+   candidates on, the load goes byte by byte in byte order: that byte takes
+   [read_byte_slow], whose refinement the later bytes must see, and each
+   later byte is a width-1 [read], so choices, reports and refinements come
+   in the order of a byte-by-byte load. *)
+let rec read ctx addr width label =
+  let out = ctx.span in
+  let k =
+    if Tso.Store_buffer.forward (Tso.Thread_state.store_buffer ctx.cur) addr ~width out = width
+    then width
+    else Exec.Read_from.read_single_span ctx.stack addr ~width out
+  in
+  let v = ref 0 in
+  for i = 0 to k - 1 do
+    v := !v lor (out.(i) lsl (8 * i))
+  done;
+  if k < width then begin
+    v := !v lor (read_byte_slow ctx (addr + k) label lsl (8 * k));
+    for i = k + 1 to width - 1 do
+      v := !v lor (read ctx (addr + i) 1 label lsl (8 * i))
+    done
+  end;
+  !v
 
 let load ctx ?(label = "load") ~width addr =
+  if width < 1 || width > Pmem.Bytes_le.max_width then invalid_arg "Ctx.load: width not in [1, 8]";
   step ctx label;
   bounds ctx addr width "load" label;
   maybe_yield ctx;
-  let v = ref 0 in
-  for i = 0 to width - 1 do
-    v := !v lor (read_byte ctx (addr + i) label lsl (8 * i))
-  done;
-  let v = !v in
+  let v = read ctx addr width label in
   if ctx.events_on && not ctx.in_rmw then emit_load ctx ~addr ~width ~value:v ~label;
   v
 

@@ -131,6 +131,8 @@ val in_recovery : t -> bool
 
 val store : t -> ?label:string -> width:int -> Pmem.Addr.t -> int -> unit
 val load : t -> ?label:string -> width:int -> Pmem.Addr.t -> int
+(** A little-endian [width]-byte load. Raises [Invalid_argument] unless
+    [width] is in [\[1, 8\]]. *)
 
 val store8 : t -> ?label:string -> Pmem.Addr.t -> int -> unit
 val store16 : t -> ?label:string -> Pmem.Addr.t -> int -> unit

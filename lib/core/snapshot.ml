@@ -27,7 +27,22 @@ let failure_key choice =
 
 let crash_key choice = Choice.consumed choice
 
-let mem cache key = List.exists (fun s -> s.key = key) cache.snaps
+(* Decision keys are compared cell by cell. At [Choice.kind], a constant
+   constructor type, and at [int], [=] and [<] compile to single integer
+   compares; [=] on the whole arrays of tuples was a [compare_val] walk.
+   [same_cells] starts at the deepest cell, where keys that share a prefix
+   differ. *)
+let rec same_cells (a : key) (b : key) i =
+  i < 0
+  ||
+  let ka, na, ca = a.(i) and kb, nb, cb = b.(i) in
+  ca = cb && na = nb && ka = kb && same_cells a b (i - 1)
+
+let same_key (a : key) (b : key) =
+  Array.length a = Array.length b && same_cells a b (Array.length a - 1)
+
+let rec mem_in key = function [] -> false | s :: rest -> same_key s.key key || mem_in key rest
+let mem cache key = mem_in key cache.snaps
 
 (* Every record in a snapshot is a bounded view (Exec_record.snapshot_view):
    line intervals copied — the recovery read-from analysis refines them in
@@ -83,16 +98,13 @@ let materialize ~deep_top snap =
    subtrees donated via [Choice.split] live in other workers with their own
    caches, and a missing snapshot merely costs one full replay, which
    re-captures it. *)
-let dead ~now s =
-  let k = s.key in
-  let n = min (Array.length k) (Array.length now) in
-  let rec loop i =
-    i < n
-    &&
-    let ka, na, ca = k.(i) and kb, nb, cb = now.(i) in
-    ka = kb && na = nb && (ca < cb || (ca = cb && loop (i + 1)))
-  in
-  loop 0
+let rec passed (k : key) (now : key) i n =
+  i < n
+  &&
+  let ka, na, ca = k.(i) and kb, nb, cb = now.(i) in
+  ka = kb && na = nb && (ca < cb || (ca = cb && passed k now (i + 1) n))
+
+let dead ~now s = passed s.key now 0 (Int.min (Array.length s.key) (Array.length now))
 
 let store cache snap =
   let snaps = List.filter (fun s -> not (dead ~now:snap.key s)) cache.snaps in

@@ -46,13 +46,11 @@ let is_initial e = e.id = 0
 (* Unboxed line-interval reads: the per-line state lives in the flat
    {!Pmem.Line_table}, so the bounds come back as plain ints. The slot index
    is only valid until the next insertion, hence the immediate reads. *)
-let line_lo e addr =
-  let lines = e.lines in
-  Pmem.Line_table.lo lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr))
-
-let line_hi e addr =
-  let lines = e.lines in
-  Pmem.Line_table.hi lines (Pmem.Line_table.find lines (Pmem.Addr.line_of addr))
+let line_slot e addr = Pmem.Line_table.find e.lines (Pmem.Addr.line_of addr)
+let slot_lo e slot = Pmem.Line_table.lo e.lines slot
+let slot_hi e slot = Pmem.Line_table.hi e.lines slot
+let line_lo e addr = slot_lo e (line_slot e addr)
+let line_hi e addr = slot_hi e (line_slot e addr)
 
 let raise_line_lo e addr ~seq =
   let lines = e.lines in

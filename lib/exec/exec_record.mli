@@ -34,6 +34,16 @@ val line_lo : t -> Pmem.Addr.t -> int
 val line_hi : t -> Pmem.Addr.t -> int
 (** The line's last-writeback bounds [lo] and [hi], as plain ints. *)
 
+val line_slot : t -> Pmem.Addr.t -> int
+(** The slot of the byte's line in the record's line table, inserting a
+    fresh [\[0, inf)] interval if absent, as {!line_lo} and {!line_hi} each
+    do. Read it at once with {!slot_lo} / {!slot_hi}: a slot is only valid
+    until the next lookup that inserts a line. One lookup serves both
+    bounds. *)
+
+val slot_lo : t -> int -> int
+val slot_hi : t -> int -> int
+
 val raise_line_lo : t -> Pmem.Addr.t -> seq:int -> unit
 (** Raises the line's lower bound to [seq] if higher (a flush took effect). *)
 

@@ -48,31 +48,72 @@ let rec read_pre_failure stack e addr =
       if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
       else wins @ read_pre_failure stack (Exec_stack.prev stack e) addr
 
-(* The same walk as [read_pre_failure], counting instead of collecting. The
-   candidate list has one element exactly when every visited window (lo, hi)
-   is empty and the walk ends on a store at or before lo, or on the initial
-   image; any window store brings at least one more candidate from below it.
-   [do_read] on that lone candidate refines nothing: each record above the
-   source has its first store at or after hi (no window, no store at or
-   before lo), and in the source the chosen store is at or before lo and the
-   next one at or after hi, so every bound it would set is already implied.
-   Hence no refinement here, and no [source] is built. *)
-let rec single_pre_failure stack e addr =
-  if Exec_record.is_initial e then 0
-  else
-    let q = Exec_record.store_queue e addr in
-    let n = Exec_record.visible_length e addr q in
-    if n = 0 then single_pre_failure stack (Exec_stack.prev stack e) addr
-    else
-      let le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) in
-      if Int.min n (Store_queue.count_le q (Exec_record.line_hi e addr - 1)) > le_lo then -1
-      else if le_lo > 0 then Store_queue.value_at q (le_lo - 1)
-      else single_pre_failure stack (Exec_stack.prev stack e) addr
+(* The same walk as [read_pre_failure], counting instead of collecting,
+   for every unknown byte of one load at once. A byte's candidate list has
+   one element exactly when every visited window (lo, hi) is empty and its
+   walk ends on a store at or before lo, or on the initial image; any window
+   store brings at least one more candidate from below it. [do_read] on
+   that lone candidate refines nothing: each record above the source has
+   the byte's first store at or after hi (no window, no store at or before
+   lo), and in the source the chosen store is at or before lo and the next
+   one at or after hi, so every bound it would set is already implied.
+   Hence no refinement here, and no [source] is built.
 
-let read_single stack addr =
+   [span_record] visits one record for the unknown bytes below [limit], in
+   byte order, and returns the new limit: the first byte with a non-empty
+   window, or [limit]. Bytes at or past that byte are not walked further:
+   the caller reads them one by one after its refinement, which changes
+   only this record and older ones. So the walk inserts a line entry only
+   where the byte-by-byte loads would too. The bounds are looked up once
+   per line, and only for a byte with a visible store. *)
+let span_record e addr out limit =
+  let limit = ref limit and i = ref 0 in
+  let line = ref (-1) and lo = ref 0 and hi = ref 0 in
+  while !i < !limit do
+    let a = addr + !i in
+    if out.(!i) < 0 then begin
+      let q = Exec_record.store_queue e a in
+      let n = Exec_record.visible_length e a q in
+      if n > 0 then begin
+        if Pmem.Addr.line_of a <> !line then begin
+          let slot = Exec_record.line_slot e a in
+          lo := Exec_record.slot_lo e slot;
+          hi := Exec_record.slot_hi e slot;
+          line := Pmem.Addr.line_of a
+        end;
+        let le_lo = Store_queue.count_le q !lo in
+        if Int.min n (Store_queue.count_le q (!hi - 1)) > le_lo then limit := !i
+        else if le_lo > 0 then out.(!i) <- Store_queue.value_at q (le_lo - 1)
+      end
+    end;
+    incr i
+  done;
+  !limit
+
+let rec unknown_below out limit i = i < limit && (out.(i) < 0 || unknown_below out limit (i + 1))
+
+let rec span_pre_failure stack e addr out limit =
+  if Exec_record.is_initial e then begin
+    for i = 0 to limit - 1 do
+      if out.(i) < 0 then out.(i) <- 0
+    done;
+    limit
+  end
+  else
+    let limit = span_record e addr out limit in
+    if unknown_below out limit 0 then span_pre_failure stack (Exec_stack.prev stack e) addr out limit
+    else limit
+
+let read_single_span stack addr ~width out =
   let top = Exec_stack.top stack in
-  let b = Exec_record.last_store_byte top addr in
-  if b >= 0 then b else single_pre_failure stack (Exec_stack.prev stack top) addr
+  let unknown = ref false in
+  for i = 0 to width - 1 do
+    if out.(i) < 0 then begin
+      let b = Exec_record.last_store_byte top (addr + i) in
+      if b >= 0 then out.(i) <- b else unknown := true
+    end
+  done;
+  if !unknown then span_pre_failure stack (Exec_stack.prev stack top) addr out width else width
 
 let build_may_read_from ?sb_value stack addr =
   match sb_value with

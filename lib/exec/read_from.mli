@@ -29,13 +29,19 @@ val build_may_read_from :
     pre-failure executions via [ReadPreFailure] (lines 7–13). The result is
     never empty: the initial all-zero image backstops the recursion. *)
 
-val read_single : Exec_stack.t -> Pmem.Addr.t -> int
-(** The allocation-free common case of a load without store-buffer bypass:
-    if [build_may_read_from stack addr] would return exactly one candidate,
-    its byte value (in [0, 255]), else [-1]. The intervals are left as
-    [do_read] on that lone candidate would leave them, since it refines
-    nothing; so a non-negative result is the whole load, with no choice
-    consumed. Computes no candidate list and builds no {!source}. *)
+val read_single_span : Exec_stack.t -> Pmem.Addr.t -> width:int -> int array -> int
+(** The allocation-free common case of a [width]-byte load, in one walk of
+    the stack. On entry [out.(i)] is a byte value for each byte of the load
+    already known (forwarded from the store buffer) and negative for the
+    rest. The result [k] is the first byte whose
+    [build_may_read_from stack (addr + k)] would return several candidates,
+    or [width] if there is none; on return [out.(i)], for every [i < k], is
+    the byte value of the lone candidate (or the known byte). Bytes from [k]
+    on are left unspecified: committing byte [k] to a source refines the
+    line intervals they read, so the caller reads them one by one after it.
+    The walk refines nothing, as [do_read] on a lone candidate would not,
+    so bytes below [k] need no further work and consume no choice. Computes
+    no candidate list and builds no {!source}. *)
 
 val do_read : Exec_stack.t -> Pmem.Addr.t -> source -> unit
 (** Commits the load to one source and refines last-writeback intervals of

@@ -43,18 +43,36 @@ let dequeue sb =
     Some e
   end
 
-(* Newest-first scan that stops at the first store covering [a]: the TSO
-   forwarding rule. A top-level loop, not a closure, so a miss allocates
-   nothing. *)
-let rec bypass_from sb a i =
-  if i < 0 then None
+(* Copies into the still-unknown bytes of [out] the bytes of one store (at
+   [a], [w] wide) that overlap the load at [addr]; [known] counts the bytes
+   found, in and out. Top-level functions, not closures, so the scan
+   allocates nothing. *)
+let fill addr width out a w value known =
+  let known = ref known in
+  for b = Int.max addr a to Int.min (addr + width) (a + w) - 1 do
+    if out.(b - addr) < 0 then begin
+      out.(b - addr) <- (value lsr (8 * (b - a))) land 0xff;
+      incr known
+    end
+  done;
+  !known
+
+(* Newest-first scan: the first store met that covers a byte is the newest
+   one, so it wins that byte (the TSO forwarding rule); older stores only
+   fill what is still unknown. *)
+let rec scan sb addr width out i known =
+  if i < 0 || known = width then known
   else
     match sb.buf.(slot sb i) with
-    | Store { addr; value; width; label } when a >= addr && a < addr + width ->
-        Some (Pmem.Bytes_le.byte_at ~width value (a - addr), label)
-    | Store _ | Clflush _ | Clflushopt _ | Sfence -> bypass_from sb a (i - 1)
+    | Store { addr = a; value; width = w; label = _ } when a < addr + width && addr < a + w ->
+        scan sb addr width out (i - 1) (fill addr width out a w value known)
+    | Store _ | Clflush _ | Clflushopt _ | Sfence -> scan sb addr width out (i - 1) known
 
-let bypass sb a = bypass_from sb a (sb.len - 1)
+let forward sb addr ~width out =
+  for i = 0 to width - 1 do
+    out.(i) <- -1
+  done;
+  scan sb addr width out (sb.len - 1) 0
 
 let pending_writes sb =
   let rec from i =

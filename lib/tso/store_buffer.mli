@@ -3,7 +3,7 @@
     Stores, [clflush]es, [clflushopt]s and [sfence]s are buffered in FIFO
     order when executed and take effect in the cache only when evicted
     (paper Fig. 1 and Fig. 7). Loads forward from the newest buffered store to
-    the same byte (store-buffer bypass). *)
+    each byte (store-buffer bypass). *)
 
 type entry =
   | Store of { addr : Pmem.Addr.t; value : int; width : int; label : string }
@@ -27,10 +27,13 @@ val enqueue : t -> entry -> unit
 val dequeue : t -> entry option
 (** Oldest entry, removed. *)
 
-val bypass : t -> Pmem.Addr.t -> (int * string) option
-(** [bypass sb a] is the value (and store label) the newest buffered store
-    writes to byte [a], if any — the TSO load-forwarding path. Scans newest
-    first and stops at the first hit; a miss allocates nothing. *)
+val forward : t -> Pmem.Addr.t -> width:int -> int array -> int
+(** [forward sb addr ~width out] is the TSO load-forwarding path for the
+    [width]-byte load at [addr]. It sets [out.(i)], for [i] in
+    [\[0, width)], to the byte the newest buffered store to [addr + i]
+    wrote, or to [-1] if no buffered store covers that byte, and returns how
+    many bytes it found. One newest-first scan, which stops once all [width]
+    bytes are found; allocates nothing. *)
 
 val pending_writes : t -> bool
 (** Whether any buffered entry is a store. *)

@@ -47,10 +47,5 @@ val drain : t -> Sink.t -> unit
 val drain_flush_buffer : t -> Sink.t -> unit
 (** Applies and empties the flush buffer (sfence/mfence/RMW semantics). *)
 
-(** {1 Queries} *)
-
-val bypass : t -> Pmem.Addr.t -> (int * string) option
-(** Store-buffer forwarding for one byte. *)
-
 val reset : t -> unit
 (** Clears buffers and timestamps (power failure: buffered state is lost). *)

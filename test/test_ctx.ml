@@ -313,6 +313,14 @@ let test_in_recovery_flag () =
   Alcotest.(check bool) "pre says false" true (List.mem false !saw);
   Alcotest.(check bool) "post says true" true (List.mem true !saw)
 
+(* Minor words allocated by [n] calls of [f]. *)
+let minor_words_over n f =
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  Gc.minor_words () -. before
+
 (* Pins the recovery read path allocation-free. After a flushed line's
    crash every byte of it has exactly one read-from candidate, the common
    case in every exploration; such a load must not build candidate lists or
@@ -328,12 +336,207 @@ let test_single_candidate_load_allocates_nothing () =
   (try Ctx.crash ctx with Ctx.Power_failure -> ());
   Ctx.after_crash ctx;
   Alcotest.(check int) "reads the flushed value" 3 (Ctx.load64 ctx ~label:"r" (base + 16));
-  let loads = 10_000 in
-  let before = Gc.minor_words () in
-  for i = 1 to loads do
-    ignore (Sys.opaque_identity (Ctx.load64 ctx ~label:"r" (base + (8 * (i land 7)))))
+  Alcotest.(check (float 0.)) "minor words over the loads" 0.
+    (minor_words_over 10_000 (fun i -> Ctx.load64 ctx ~label:"r" (base + (8 * (i land 7)))))
+
+let buffered = { Config.default with Config.evict_policy = Config.Buffered; trace_depth = 0; report_perf = false }
+
+(* A load64 that store-buffer forwarding answers in full: two 4-byte stores
+   cover it, behind unrelated entries. *)
+let test_forwarded_load_allocates_nothing () =
+  let ctx = Ctx.create ~config:buffered ~choice:(Choice.create ()) () in
+  Ctx.store32 ctx ~label:"lo" base 0x04030201;
+  Ctx.store64 ctx ~label:"other" (base + 64) 7;
+  Ctx.sfence ctx ();
+  Ctx.store32 ctx ~label:"hi" (base + 4) 0x08070605;
+  Ctx.store8 ctx ~label:"other" (base + 9) 1;
+  Alcotest.(check int) "forwarded value" 0x0807060504030201 (Ctx.load64 ctx ~label:"r" base);
+  Alcotest.(check (float 0.)) "minor words over the loads" 0.
+    (minor_words_over 10_000 (fun _ -> Ctx.load64 ctx ~label:"r" base))
+
+(* A recovery load64 whose low half is forwarded from the store buffer and
+   whose high half has one read-from candidate per byte. *)
+let test_mixed_load_allocates_nothing () =
+  let ctx = Ctx.create ~config:buffered ~choice:(Choice.create ()) () in
+  Ctx.store64 ctx ~label:"w" base 0x1122334455667788;
+  Ctx.clflush ctx ~label:"fl" base 8;
+  Ctx.mfence ctx ();
+  (try Ctx.crash ctx with Ctx.Power_failure -> ());
+  Ctx.after_crash ctx;
+  Ctx.store32 ctx ~label:"recovery" base 0x0a0b0c0d;
+  Alcotest.(check int) "forwarded low half, recovered high half" 0x112233440a0b0c0d
+    (Ctx.load64 ctx ~label:"r" base);
+  Alcotest.(check (float 0.)) "minor words over the loads" 0.
+    (minor_words_over 10_000 (fun _ -> Ctx.load64 ctx ~label:"r" base))
+
+(* --- span loads against the byte-by-byte loop ---------------------------- *)
+
+(* The byte-by-byte load this path replaced, kept as the oracle: per byte,
+   the newest buffered store to it wins; otherwise the byte reads from its
+   candidate list, recording a multi-rf report and consuming a choice when
+   the list has several entries, and [do_read] commits to the source. *)
+let reference_forward entries a =
+  List.fold_left
+    (fun acc e ->
+      match e with
+      | Tso.Store_buffer.Store { addr; value; width; label = _ } when a >= addr && a < addr + width ->
+          Pmem.Bytes_le.byte_at ~width value (a - addr)
+      | _ -> acc)
+    (-1) entries
+
+let oracle_load ~choice ~stack ~entries ~label addr width =
+  let reports = ref [] and v = ref 0 in
+  for i = 0 to width - 1 do
+    let a = addr + i in
+    let b =
+      let fwd = reference_forward entries a in
+      if fwd >= 0 then fwd
+      else
+        let candidates = Exec.Read_from.build_may_read_from stack a in
+        let src =
+          match candidates with
+          | [ only ] -> only
+          | _ ->
+              reports :=
+                {
+                  Ctx.load_label = label;
+                  load_addr = a;
+                  candidates =
+                    List.map (fun c -> (c.Exec.Read_from.label, c.Exec.Read_from.value)) candidates;
+                }
+                :: !reports;
+              List.nth candidates (Choice.choose choice Choice.Read_from (List.length candidates))
+        in
+        Exec.Read_from.do_read stack a src;
+        src.Exec.Read_from.value
+    in
+    v := !v lor (b lsl (8 * i))
   done;
-  Alcotest.(check (float 0.)) "minor words over the loads" 0. (Gc.minor_words () -. before)
+  (!v, List.rev !reports)
+
+(* Stack-building steps, applied alike to the context's stack and to the
+   oracle's: stores and flushes into the top record, crashes, and restores
+   of the whole stack from snapshot views with a writable top. *)
+type span_step = Push of int * int | Flush of int | Crash | Restore
+
+type span_case = {
+  steps : span_step list;
+  buffered_stores : (int * int * int) list;  (** addr, width, value *)
+  load_addr : int;
+  load_width : int;
+}
+
+(* Offsets 56-71 of lines 0-2 from [base]: loads are unaligned and may cross
+   a line. *)
+let gen_offset = QCheck2.Gen.(map2 (fun l o -> (64 * l) + o) (int_range 0 2) (int_range 56 71))
+
+let gen_span_case =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [
+        (6, map2 (fun o v -> Push (o, v)) gen_offset (int_range 0 255));
+        (3, map (fun o -> Flush o) gen_offset);
+        (2, pure Crash);
+        (1, pure Restore);
+      ]
+  in
+  map4
+    (fun steps buffered_stores load_addr load_width ->
+      { steps; buffered_stores; load_addr; load_width })
+    (list_size (int_range 0 30) step)
+    (list_size (int_range 0 4)
+       (triple gen_offset (int_range 1 8) (int_range 0 0xffff_ffff)))
+    gen_offset (int_range 1 8)
+
+let print_span_case c =
+  let step = function
+    | Push (o, v) -> Printf.sprintf "push +%d=%d" o v
+    | Flush o -> Printf.sprintf "flush +%d" o
+    | Crash -> "crash"
+    | Restore -> "restore"
+  in
+  Printf.sprintf "%s | buffered %s | load +%d/%d"
+    (String.concat "; " (List.map step c.steps))
+    (String.concat "; "
+       (List.map (fun (o, w, v) -> Printf.sprintf "+%d/%d=%x" o w v) c.buffered_stores))
+    c.load_addr c.load_width
+
+let build_stack stack steps =
+  let seq = ref 0 in
+  List.iter
+    (function
+      | Push (o, value) ->
+          incr seq;
+          Exec.Exec_record.push_store (Exec.Exec_stack.top stack) (base + o) ~value ~seq:!seq
+            ~label:(Printf.sprintf "w%d" !seq)
+      | Flush o ->
+          incr seq;
+          Exec.Exec_record.flush_line (Exec.Exec_stack.top stack) (base + o) ~seq:!seq
+      | Crash -> ignore (Exec.Exec_stack.push_fresh stack)
+      | Restore ->
+          Exec.Exec_stack.restore stack
+            (List.mapi
+               (fun i e ->
+                 if Exec.Exec_record.is_initial e then e
+                 else if i = 0 then
+                   Exec.Exec_record.snapshot_freeze (Exec.Exec_record.snapshot_view ~bound:!seq e)
+                 else Exec.Exec_record.snapshot_view e)
+               (Exec.Exec_stack.to_list stack)))
+    steps
+
+let line_intervals stack =
+  List.concat_map
+    (fun e ->
+      List.map
+        (fun l ->
+          let a = base + (64 * l) in
+          (Exec.Exec_record.line_lo e a, Exec.Exec_record.line_hi e a))
+        [ 0; 1; 2; 3 ])
+    (Exec.Exec_stack.to_list stack)
+
+(* One replay of a case under [choice] through [Ctx.load], and one under
+   [oracle_choice] through the oracle; both must give the same value, the
+   same consumed decisions, the same multi-rf reports and the same line
+   intervals on every record. *)
+let span_load_agrees c ~choice ~oracle_choice =
+  let config = { buffered with Config.report_multi_rf = true } in
+  Choice.begin_replay choice;
+  Choice.begin_replay oracle_choice;
+  let ctx = Ctx.create ~config ~choice () in
+  build_stack (Ctx.exec_stack ctx) c.steps;
+  let stack = Exec.Exec_stack.create () in
+  build_stack stack c.steps;
+  let entries =
+    List.map
+      (fun (o, width, value) ->
+        Ctx.store ctx ~label:"buffered" ~width (base + o) value;
+        Tso.Store_buffer.Store { addr = base + o; value; width; label = "buffered" })
+      c.buffered_stores
+  in
+  let v = Ctx.load ctx ~label:"load" ~width:c.load_width (base + c.load_addr) in
+  let v', reports =
+    oracle_load ~choice:oracle_choice ~stack ~entries ~label:"load" (base + c.load_addr)
+      c.load_width
+  in
+  v = v'
+  && Choice.consumed choice = Choice.consumed oracle_choice
+  && Ctx.multi_rf_reports ctx = reports
+  && line_intervals (Ctx.exec_stack ctx) = line_intervals stack
+
+(* Every replay of the case's read-from tree, up to eight: the later
+   alternatives of a multi-candidate byte are reached too. *)
+let prop_span_load_matches_byte_loop =
+  QCheck2.Test.make ~count:2000 ~name:"span load = byte-by-byte load" ~print:print_span_case
+    gen_span_case (fun c ->
+      let choice = Choice.create () and oracle_choice = Choice.create () in
+      let rec replays n =
+        span_load_agrees c ~choice ~oracle_choice
+        &&
+        let more = Choice.advance choice in
+        more = Choice.advance oracle_choice && ((not more) || n = 1 || replays (n - 1))
+      in
+      replays 8)
 
 let () =
   Alcotest.run "ctx"
@@ -370,6 +573,14 @@ let () =
           Alcotest.test_case "cross-recovery reads" `Quick test_multi_failure_reads_previous_recovery;
           Alcotest.test_case "single-candidate load allocates nothing" `Quick
             test_single_candidate_load_allocates_nothing;
+        ] );
+      ( "loads",
+        [
+          Alcotest.test_case "forwarded load allocates nothing" `Quick
+            test_forwarded_load_allocates_nothing;
+          Alcotest.test_case "forwarded + recovered load allocates nothing" `Quick
+            test_mixed_load_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_span_load_matches_byte_loop;
         ] );
       ( "misc",
         [

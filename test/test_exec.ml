@@ -353,25 +353,37 @@ let prop_record_matches_model =
 
 (* Random execution stacks: stores and flushes into the top record, crashes,
    restores of the whole stack from snapshot views (a writable top, as under
-   buffered eviction), and reads that commit to a chosen candidate. Two
-   stacks are built in lockstep so a read can be taken through
-   [read_single] on one and through [do_read] on the other. *)
+   buffered eviction), and loads of width 1-8 that commit to a chosen
+   candidate. Stores and loads land on the last and first bytes of lines
+   0-3, so loads are unaligned and cross lines. Two stacks are built in
+   lockstep so a load can be taken through [read_single_span] on one and
+   byte by byte through [do_read] on the other. *)
 type step =
   | S_push of int * int
   | S_flush of int
   | S_crash
   | S_restore
-  | S_read of int * int  (** addr, which candidate to commit to *)
+  | S_read of int * int * int * int
+      (** addr, width, bytes known beforehand (a bit mask), which candidate
+          to commit to *)
+
+let span_lines = [ 0; 1; 2; 3 ]
+let gen_span_addr = QCheck2.Gen.(map2 (fun l o -> (64 * l) + o) (int_range 0 2) (int_range 58 69))
 
 let gen_step =
   QCheck2.Gen.(
     frequency
       [
-        (5, map2 (fun a v -> S_push (a, v)) gen_addr (int_range 0 255));
-        (2, map (fun a -> S_flush a) gen_addr);
+        (5, map2 (fun a v -> S_push (a, v)) gen_span_addr (int_range 0 255));
+        (2, map (fun a -> S_flush a) gen_span_addr);
         (1, pure S_crash);
         (1, pure S_restore);
-        (4, map2 (fun a k -> S_read (a, k)) gen_addr (int_range 0 7));
+        ( 4,
+          map4
+            (fun a w known k -> S_read (a, w, known, k))
+            gen_span_addr (int_range 1 8)
+            (frequency [ (3, pure 0); (1, int_range 0 255) ])
+            (int_range 0 7) );
       ])
 
 let print_step = function
@@ -379,7 +391,7 @@ let print_step = function
   | S_flush a -> Printf.sprintf "flush %d" a
   | S_crash -> "crash"
   | S_restore -> "restore"
-  | S_read (a, k) -> Printf.sprintf "read %d #%d" a k
+  | S_read (a, w, known, k) -> Printf.sprintf "read %d/%d known %x #%d" a w known k
 
 let intervals s =
   List.concat_map
@@ -388,11 +400,20 @@ let intervals s =
         (fun l ->
           let a = 64 * l in
           (Exec.Exec_record.line_lo e a, Exec.Exec_record.line_hi e a))
-        lines)
+        span_lines)
     (Exec.Exec_stack.to_list s)
 
-let prop_single_read_matches_do_read =
-  QCheck2.Test.make ~count:500 ~name:"read_single = the lone candidate of build_may_read_from"
+(* Commits byte [a] to its [k]-th candidate (mod the count); returns the
+   candidate count and the byte. *)
+let commit s a k =
+  let c = Exec.Read_from.build_may_read_from s a in
+  let src = List.nth c (k mod List.length c) in
+  Exec.Read_from.do_read s a src;
+  (List.length c, src.Exec.Read_from.value)
+
+let prop_span_read_matches_do_read =
+  QCheck2.Test.make ~count:500
+    ~name:"read_single_span = the lone candidates of build_may_read_from"
     ~print:(fun steps -> String.concat "; " (List.map print_step steps))
     QCheck2.Gen.(list_size (int_range 1 40) gen_step)
     (fun steps ->
@@ -425,19 +446,27 @@ let prop_single_read_matches_do_read =
                          else Exec.Exec_record.snapshot_view e)
                        (Exec.Exec_stack.to_list s)));
               true
-          | S_read (a, k) ->
-              let c1 = Exec.Read_from.build_may_read_from s1 a in
-              let c2 = Exec.Read_from.build_may_read_from s2 a in
-              let single = Exec.Read_from.read_single s1 a in
-              let agree =
-                match c1 with
-                | [ only ] -> single = only.Exec.Read_from.value
-                | _ -> single = -1
-              in
-              let k = k mod List.length c1 in
-              if single < 0 then Exec.Read_from.do_read s1 a (List.nth c1 k);
-              Exec.Read_from.do_read s2 a (List.nth c2 k);
-              agree && intervals s1 = intervals s2)
+          | S_read (a, w, known_mask, k) ->
+              let known i = known_mask land (1 lsl i) <> 0 in
+              let out = Array.init 8 (fun i -> if i < w && known i then 200 + i else -1) in
+              let first_multi = Exec.Read_from.read_single_span s1 a ~width:w out in
+              (* The reference: every unknown byte in order through the
+                 candidate list and [do_read]. *)
+              let expected_multi = ref w and values_agree = ref true in
+              for i = 0 to w - 1 do
+                if not (known i) then begin
+                  let n, value = commit s2 (a + i) k in
+                  if n > 1 && !expected_multi = w then expected_multi := i;
+                  if i < !expected_multi && out.(i) <> value then values_agree := false
+                end
+                else if i < first_multi && out.(i) <> 200 + i then values_agree := false
+              done;
+              (* The span walk refined nothing; the bytes from the first
+                 multi-candidate one on are committed one by one. *)
+              for i = first_multi to w - 1 do
+                if not (known i) then ignore (commit s1 (a + i) k)
+              done;
+              first_multi = !expected_multi && !values_agree && intervals s1 = intervals s2)
         steps)
 
 let () =
@@ -470,6 +499,6 @@ let () =
       ( "model",
         [
           QCheck_alcotest.to_alcotest prop_record_matches_model;
-          QCheck_alcotest.to_alcotest prop_single_read_matches_do_read;
+          QCheck_alcotest.to_alcotest prop_span_read_matches_do_read;
         ] );
     ]

@@ -298,6 +298,58 @@ let test_bounded_view () =
   Alcotest.(check int) "the live record is unaffected by the freeze" 3 (last e);
   Alcotest.(check int) "the view is unaffected by the freeze" 2 (last view)
 
+(* --- Cache keys: monomorphic comparisons against polymorphic ones -------- *)
+
+(* [Snapshot.mem] and the pruning in [Snapshot.store] against a list model
+   that compares keys with polymorphic [=] and [<], as the cache once did:
+   over random stores and lookups of short keys from a small alphabet (so
+   keys repeat, share prefixes and differ in one cell), the cache holds the
+   model's keys and answers every lookup the same way. *)
+let model_dead ~now k =
+  let n = min (Array.length k) (Array.length now) in
+  let rec loop i =
+    i < n
+    &&
+    let ka, na, ca = k.(i) and kb, nb, cb = now.(i) in
+    ka = kb && na = nb && (ca < cb || (ca = cb && loop (i + 1)))
+  in
+  loop 0
+
+let model_store keys key =
+  let keys = List.filter (fun k -> not (model_dead ~now:key k)) keys in
+  let rec insert = function
+    | [] -> [ key ]
+    | k :: _ as rest when Array.length k <= Array.length key -> key :: rest
+    | k :: rest -> k :: insert rest
+  in
+  List.filteri (fun i _ -> i < 256) (insert keys)
+
+let gen_key =
+  QCheck2.Gen.(
+    map Array.of_list
+      (list_size (int_range 0 4)
+         (oneofl [ Choice.Failure_point; Choice.Read_from; Choice.Drain ] >>= fun kind ->
+          int_range 2 3 >>= fun num ->
+          map (fun chosen -> (kind, num, chosen)) (int_range 0 (num - 1)))))
+
+let prop_cache_keys_match_model =
+  let stack = Exec.Exec_stack.create () and trace = Trace.create ~depth:0 () in
+  QCheck2.Test.make ~count:300 ~name:"cache mem/store = polymorphic-compare model"
+    QCheck2.Gen.(list_size (int_range 1 40) (pair bool gen_key))
+    (fun ops ->
+      let cache = Snapshot.create_cache () and model = ref [] in
+      List.for_all
+        (fun (is_store, key) ->
+          if is_store then begin
+            Snapshot.store cache
+              (Snapshot.capture ~key ~stack ~seq:0 ~threads:[] ~trace ~failure_count:0 ~fp_count:0
+                 ~rng:0 ~last:"" ~crash_label:None);
+            model := model_store !model key
+          end;
+          Snapshot.mem cache key = List.exists (fun k -> k = key) !model
+          && List.for_all (Snapshot.mem cache) !model)
+        ops)
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -318,6 +370,7 @@ let () =
         ] );
       ( "resume",
         [ Alcotest.test_case "pre runs exactly once" `Quick test_snapshot_skips_pre ] );
+      ("cache-keys", [ QCheck_alcotest.to_alcotest prop_cache_keys_match_model ]);
       ("bounded-view", [ Alcotest.test_case "seq-bound semantics" `Quick test_bounded_view ]);
       ( "budget",
         [ Alcotest.test_case "exact budget is exhausted" `Quick test_exact_budget_not_capped ] );
