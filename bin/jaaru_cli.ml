@@ -846,24 +846,13 @@ let fleet_run id workers shards_per_worker split_execs chaos_spec chaos_seed hea
               Format.printf "%a@." Fleet.Coordinator.pp_fleet r.Fleet.Coordinator.fleet;
               Option.iter (fun path -> write_report path o) report_out;
               List.iter (fun b -> Format.printf "bug: %s@." (Jaaru.Bug.symptom b)) o.Jaaru.Explorer.bugs;
-              if r.Fleet.Coordinator.remaining <> [] || r.Fleet.Coordinator.interrupted then begin
+              let cp = r.Fleet.Coordinator.checkpoint in
+              if cp.Jaaru.Checkpoint.frontier <> [] || r.Fleet.Coordinator.interrupted then begin
                 (* Checkpoint every live shard so the run is continuable —
                    with plain `jaaru check --resume`: the aggregate uses the
                    same fingerprint and format as a single-process run. *)
                 (match checkpoint with
                 | Some path ->
-                    let config =
-                      fleet_exploration_config entry ~max_failures ~max_steps ~jobs ~snapshot
-                    in
-                    let cp =
-                      Jaaru.Checkpoint.make
-                        ~fingerprint:
-                          (Jaaru.Checkpoint.fingerprint ~workload:entry.scenario.Jaaru.Explorer.name
-                             config)
-                        ~frontier:r.Fleet.Coordinator.remaining ~bugs:o.Jaaru.Explorer.bugs
-                        ~multi_rf:o.Jaaru.Explorer.multi_rf ~perf:o.Jaaru.Explorer.perf
-                        ~findings:o.Jaaru.Explorer.findings ~stats:o.Jaaru.Explorer.stats
-                    in
                     Jaaru.Checkpoint.save cp path;
                     Format.printf "@.fleet stopped early; continue with: %s@."
                       (resume_hint ~id:entry.id ~max_failures ~max_steps ~exhaustive:true
@@ -997,7 +986,8 @@ let serve_run dir once poll workers shards_per_worker split_execs chaos_spec cha
                   let o = r.Fleet.Coordinator.outcome in
                   let status =
                     if r.Fleet.Coordinator.interrupted then "interrupted"
-                    else if r.Fleet.Coordinator.remaining <> [] then "incomplete (quarantined shards)"
+                    else if r.Fleet.Coordinator.checkpoint.Jaaru.Checkpoint.frontier <> [] then
+                      "incomplete (quarantined shards)"
                     else
                       match fleet_result_checks entry o with
                       | Ok () -> "pass"

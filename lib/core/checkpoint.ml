@@ -10,7 +10,6 @@ type t = {
   frontier : string list;
   bugs : Bug.t list;
   multi_rf : Ctx.multi_rf list;
-  perf : Ctx.perf_report list;
   findings : Analysis.Report.finding list;
   stats : Stats.t;
 }
@@ -95,20 +94,6 @@ let rd_multi_rf s =
   let candidates = Wire.rd_list rd_candidate s in
   { Ctx.load_label; load_addr; candidates }
 
-let wr_perf b (x : Ctx.perf_report) =
-  Wire.int b (match x.Ctx.perf_kind with Ctx.Redundant_flush -> 0 | Ctx.Redundant_fence -> 1);
-  Wire.string b x.Ctx.perf_label
-
-let rd_perf s =
-  let perf_kind =
-    match Wire.rd_int s with
-    | 0 -> Ctx.Redundant_flush
-    | 1 -> Ctx.Redundant_fence
-    | n -> raise (Wire.Corrupt (Printf.sprintf "unknown perf kind tag %d" n))
-  in
-  let perf_label = Wire.rd_string s in
-  { Ctx.perf_kind; perf_label }
-
 let wr_severity b (x : Analysis.Report.severity) =
   Wire.int b
     (match x with Analysis.Report.Low -> 0 | Analysis.Report.Medium -> 1 | Analysis.Report.High -> 2)
@@ -137,14 +122,14 @@ let rd_finding s =
   let detail = Wire.rd_string s in
   { Analysis.Report.severity; pass; rule; labels; line; detail }
 
+(* [multi_rf_loads] and [findings] are not stored: they count the record's
+   lists, and {!Explorer.view} recomputes them. *)
 let wr_stats b (x : Stats.t) =
   Wire.int b x.Stats.executions;
   Wire.int b x.Stats.failure_points;
   Wire.int b x.Stats.rf_decisions;
-  Wire.int b x.Stats.multi_rf_loads;
   Wire.int b x.Stats.stores;
   Wire.int b x.Stats.flushes;
-  Wire.int b x.Stats.findings;
   Wire.int b x.Stats.snapshot_hits;
   Wire.int b x.Stats.snapshot_misses;
   Wire.int b x.Stats.sheds;
@@ -156,10 +141,8 @@ let rd_stats s =
   let executions = Wire.rd_int s in
   let failure_points = Wire.rd_int s in
   let rf_decisions = Wire.rd_int s in
-  let multi_rf_loads = Wire.rd_int s in
   let stores = Wire.rd_int s in
   let flushes = Wire.rd_int s in
-  let findings = Wire.rd_int s in
   let snapshot_hits = Wire.rd_int s in
   let snapshot_misses = Wire.rd_int s in
   let sheds = Wire.rd_int s in
@@ -171,10 +154,8 @@ let rd_stats s =
     executions;
     failure_points;
     rf_decisions;
-    multi_rf_loads;
     stores;
     flushes;
-    findings;
     snapshot_hits;
     snapshot_misses;
     sheds;
@@ -189,7 +170,6 @@ let encode t =
   Wire.list Wire.string b t.frontier;
   Wire.list wr_bug b t.bugs;
   Wire.list wr_multi_rf b t.multi_rf;
-  Wire.list wr_perf b t.perf;
   Wire.list wr_finding b t.findings;
   wr_stats b t.stats;
   Wire.contents b
@@ -200,11 +180,10 @@ let decode payload =
   let frontier = Wire.rd_list Wire.rd_string s in
   let bugs = Wire.rd_list rd_bug s in
   let multi_rf = Wire.rd_list rd_multi_rf s in
-  let perf = Wire.rd_list rd_perf s in
   let findings = Wire.rd_list rd_finding s in
   let stats = rd_stats s in
   Wire.expect_end s;
-  { fingerprint; frontier; bugs; multi_rf; perf; findings; stats }
+  { fingerprint; frontier; bugs; multi_rf; findings; stats }
 
 (* Only the fields that shape the choice tree and the reports participate:
    everything a resumed run may legitimately change — [jobs], [snapshot],
@@ -233,10 +212,10 @@ let fingerprint ~workload (c : Config.t) =
   Wire.option Wire.float b c.step_deadline;
   Printf.sprintf "%08x" (Wire.crc b)
 
-let magic = "jaaru-checkpoint-v3"
+let magic = "jaaru-checkpoint-v4"
 
-let make ~fingerprint ~frontier ~bugs ~multi_rf ~perf ~findings ~stats =
-  { fingerprint; frontier; bugs; multi_rf; perf; findings; stats }
+let make ~fingerprint ~frontier ~bugs ~multi_rf ~findings ~stats =
+  { fingerprint; frontier; bugs; multi_rf; findings; stats }
 
 let frontier_prefixes t =
   List.map

@@ -2,24 +2,30 @@
 
     A checkpoint captures everything needed to continue a partially explored
     run: the {e unexplored frontier} (encoded {!Choice} prefixes — each pins
-    an entire untouched subtree), the merged reports and statistics of the
-    explored part, and a fingerprint of the configuration and workload that
-    shaped the tree. Resuming pushes the frontier's subtrees back onto a
-    fresh work queue; because every explored leaf is attributed to exactly
-    one checkpointed-or-explored subtree, an interrupted-then-resumed run
+    an entire untouched subtree), the report record of the explored part
+    (its merged bugs, multi-rf reports, pass findings and statistics), and a
+    fingerprint of the configuration and workload that shaped the tree. The
+    record is the explorer's one merged form: fleet workers return it, the
+    coordinator merges it, and {!Explorer.view} renders an outcome from it.
+    Resuming pushes the frontier's subtrees back onto a fresh work queue;
+    because every explored leaf is attributed to exactly one
+    checkpointed-or-explored subtree, an interrupted-then-resumed run
     reports byte-identically to an uninterrupted one, for any [jobs] value
     and with the snapshot layer on or off.
 
     {2 File format}
 
-    A magic line ["jaaru-checkpoint-v3"], a CRC-32 line (8 hex digits) of the
+    A magic line ["jaaru-checkpoint-v4"], a CRC-32 line (8 hex digits) of the
     payload, then the {!Pmem.Wire} encoding of {!t} — a hand-rolled
     structural format with an explicit per-field codec instead of a
-    [Marshal] image. Saves are atomic (write-temp-then-rename),
-    so a crash mid-save leaves the previous checkpoint intact; a save that
-    fails before the rename removes its temp file. Checkpoints are
-    single-version: a format change bumps the magic and old files are
-    {!Rejected}, never misread.
+    [Marshal] image. Findings are stored as pass findings whatever the
+    report switches (v3 stored the redundant pass a second time, as perf
+    reports); the statistics omit [multi_rf_loads] and [findings], which
+    count the stored lists and read back as 0. Saves are atomic
+    (write-temp-then-rename), so a crash mid-save leaves the previous
+    checkpoint intact; a save that fails before the rename removes its temp
+    file. Checkpoints are single-version: a format change bumps the magic
+    and old files are {!Rejected}, never misread.
 
     {2 The fingerprint}
 
@@ -41,8 +47,9 @@ type t = {
   frontier : string list;  (** encoded prefixes ({!Choice.encode_prefix}) *)
   bugs : Bug.t list;
   multi_rf : Ctx.multi_rf list;
-  perf : Ctx.perf_report list;
   findings : Analysis.Report.finding list;
+      (** every analysis-pass finding, whatever [report_perf] and [analyze]
+          say to show *)
   stats : Stats.t;  (** merged statistics of the explored part *)
 }
 
@@ -53,7 +60,6 @@ val make :
   frontier:string list ->
   bugs:Bug.t list ->
   multi_rf:Ctx.multi_rf list ->
-  perf:Ctx.perf_report list ->
   findings:Analysis.Report.finding list ->
   stats:Stats.t ->
   t

@@ -132,21 +132,6 @@ let multi_rf_reports ctx = List.rev ctx.multi_rf
 let analysis_findings ctx =
   match ctx.engine with None -> [] | Some e -> Analysis.Engine.findings e
 
-(* Legacy view of the redundant pass's findings, for callers of the pre-
-   framework perf-report API. *)
-let perf_reports ctx =
-  if not ctx.cfg.Config.report_perf then []
-  else
-    List.filter_map
-      (fun (f : Analysis.Report.finding) ->
-        if f.pass <> "redundant" then None
-        else
-          let perf_kind =
-            if f.rule = "redundant-flush" then Redundant_flush else Redundant_fence
-          in
-          match f.labels with [ perf_label ] -> Some { perf_kind; perf_label } | _ -> None)
-      (analysis_findings ctx)
-
 let trace_events ctx = List.map Analysis.Event.render (Trace.events ctx.trace)
 let trace_raw ctx = Trace.events ctx.trace
 let trace_dropped ctx = Trace.dropped ctx.trace
@@ -157,36 +142,14 @@ let failures ctx = ctx.failure_count
 (* The one event-emission point: the ring stores the event unrendered (no
    formatting unless a bug report is printed) and the analysis engine feeds
    its passes. Call sites guard on [events_on] so event construction itself
-   costs nothing when both are disabled. *)
+   costs nothing when both are disabled. The engine is attached whenever
+   [report_perf] (on by default) or [analyze] is set, so the boxed event is
+   built once and shared by ring and passes. *)
 let emit ctx ev =
   Trace.add ctx.trace ev;
   match ctx.engine with Some e -> Analysis.Engine.emit e ev | None -> ()
 
 let tid ctx = Tso.Thread_state.tid ctx.cur
-
-(* Hot-path emission: with no analysis engine attached (the common search
-   configuration) the event goes straight into the packed trace ring — a few
-   int writes — without ever constructing the boxed [Analysis.Event.t]. With
-   an engine, the boxed event is built once and shared by ring and passes. *)
-let emit_store ctx ~addr ~width ~value ~label =
-  match ctx.engine with
-  | None -> Trace.add_store ctx.trace ~addr ~width ~value ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Store { addr; width; value; tid = tid ctx; label })
-
-let emit_load ctx ~addr ~width ~value ~label =
-  match ctx.engine with
-  | None -> Trace.add_load ctx.trace ~addr ~width ~value ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Load { addr; width; value; tid = tid ctx; label })
-
-let emit_flush ctx ~line_addr ~kind ~label =
-  match ctx.engine with
-  | None -> Trace.add_flush ctx.trace ~line_addr ~kind ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Flush { line_addr; kind; tid = tid ctx; label })
-
-let emit_fence ctx ~kind ~label =
-  match ctx.engine with
-  | None -> Trace.add_fence ctx.trace ~kind ~tid:(tid ctx) ~label
-  | Some _ -> emit ctx (Analysis.Event.Fence { kind; tid = tid ctx; label })
 
 let step ctx label =
   ctx.last <- label;
@@ -325,12 +288,14 @@ let finish_execution ctx =
 (* --- stores and flushes ------------------------------------------------ *)
 
 let store ctx ?(label = "store") ~width addr v =
+  if width < 1 || width > Pmem.Bytes_le.max_width then invalid_arg "Ctx.store: width not in [1, 8]";
   step ctx label;
   bounds ctx addr width "store" label;
   maybe_yield ctx;
   Tso.Thread_state.exec_store ctx.cur addr ~value:v ~width ~label;
   ctx.writes_since_fp <- true;
-  if ctx.events_on && not ctx.in_rmw then emit_store ctx ~addr ~width ~value:v ~label;
+  if ctx.events_on && not ctx.in_rmw then
+    emit ctx (Analysis.Event.Store { addr; width; value = v; tid = tid ctx; label });
   if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink
 
 let flush_lines ctx ~kind ~label addr size =
@@ -343,7 +308,7 @@ let flush_lines ctx ~kind ~label addr size =
       let line_addr = line * Pmem.Addr.cache_line_size in
       failure_point ctx label;
       step ctx label;
-      if ctx.events_on then emit_flush ctx ~line_addr ~kind ~label;
+      if ctx.events_on then emit ctx (Analysis.Event.Flush { line_addr; kind; tid = tid ctx; label });
       if opt then Tso.Thread_state.exec_clflushopt ctx.cur ctx.sink line_addr ~label
       else Tso.Thread_state.exec_clflush ctx.cur line_addr ~label;
       if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink)
@@ -361,14 +326,16 @@ let clwb ctx ?(label = "clwb") addr size =
 
 let sfence ctx ?(label = "sfence") () =
   step ctx label;
-  if ctx.events_on && not ctx.in_rmw then emit_fence ctx ~kind:Analysis.Event.Sfence ~label;
+  if ctx.events_on && not ctx.in_rmw then
+    emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Sfence; tid = tid ctx; label });
   Tso.Thread_state.exec_sfence ctx.cur;
   if eager ctx then Tso.Thread_state.drain ctx.cur ctx.sink;
   maybe_yield ctx
 
 let mfence ctx ?(label = "mfence") () =
   step ctx label;
-  if ctx.events_on && not ctx.in_rmw then emit_fence ctx ~kind:Analysis.Event.Mfence ~label;
+  if ctx.events_on && not ctx.in_rmw then
+    emit ctx (Analysis.Event.Fence { kind = Analysis.Event.Mfence; tid = tid ctx; label });
   Tso.Thread_state.exec_mfence ctx.cur ctx.sink;
   maybe_yield ctx
 
@@ -434,7 +401,8 @@ let load ctx ?(label = "load") ~width addr =
   bounds ctx addr width "load" label;
   maybe_yield ctx;
   let v = read ctx addr width label in
-  if ctx.events_on && not ctx.in_rmw then emit_load ctx ~addr ~width ~value:v ~label;
+  if ctx.events_on && not ctx.in_rmw then
+    emit ctx (Analysis.Event.Load { addr; width; value = v; tid = tid ctx; label });
   v
 
 let store8 ctx ?label addr v = store ctx ?label ~width:1 addr v

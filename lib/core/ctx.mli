@@ -96,10 +96,6 @@ val after_crash : t -> unit
 val fp_count : t -> int
 val multi_rf_reports : t -> multi_rf list
 
-val perf_reports : t -> perf_report list
-(** Legacy view of the {!Analysis.Redundant} pass findings (empty when
-    [config.report_perf] is false). *)
-
 val analysis_findings : t -> Analysis.Report.finding list
 (** Everything the configured analysis passes reported for this execution:
     deduplicated, label-suppressed ([config.suppress]) and sorted. The
@@ -130,6 +126,9 @@ val in_recovery : t -> bool
     serve as both the pre- and post-failure program. *)
 
 val store : t -> ?label:string -> width:int -> Pmem.Addr.t -> int -> unit
+(** A little-endian [width]-byte store. Raises [Invalid_argument] unless
+    [width] is in [\[1, 8\]]. *)
+
 val load : t -> ?label:string -> width:int -> Pmem.Addr.t -> int
 (** A little-endian [width]-byte load. Raises [Invalid_argument] unless
     [width] is in [\[1, 8\]]. *)

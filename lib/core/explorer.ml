@@ -61,26 +61,97 @@ let replay_once ?snapshot scn ctx =
         Ctx.finish_execution ctx
       with Ctx.Power_failure -> recover ())
 
-(* Deduplicating accumulators. To keep the outcome identical for every
-   [jobs] value, deduplication cannot keep the first-discovered
-   representative (discovery order depends on the work schedule): each key
-   keeps the least representative under polymorphic compare, which is the
-   same record no matter how the executions were partitioned. *)
-let keep_min tbl key v = match Hashtbl.find_opt tbl key with
-  | None -> Hashtbl.replace tbl key v
-  | Some prev -> if compare v prev < 0 then Hashtbl.replace tbl key v
+(* The one merge. Everything an exploration reports meets in a tally: a
+   worker's executions, the workers' results at the end of a round, a
+   resumed checkpoint, and a fleet's shard results. To keep the outcome
+   identical for every [jobs] value and every partition of the tree,
+   deduplication cannot keep the first-discovered representative (discovery
+   order depends on the work schedule): each key keeps the least
+   representative under polymorphic compare, which is the same record no
+   matter how the executions were partitioned. Findings are a set holding
+   every pass finding, whatever the report switches; [view] picks what an
+   outcome shows. *)
+type tally = {
+  bug_tbl : (int * string, Bug.t) Hashtbl.t;
+  multi_rf_tbl : (string * Pmem.Addr.t, Ctx.multi_rf) Hashtbl.t;
+  finding_tbl : (Analysis.Report.finding, unit) Hashtbl.t;
+  mutable counts : Stats.t;
+}
+
+let tally () =
+  {
+    bug_tbl = Hashtbl.create 16;
+    multi_rf_tbl = Hashtbl.create 16;
+    finding_tbl = Hashtbl.create 16;
+    counts = Stats.zero;
+  }
+
+let keep_min tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some prev when compare v prev >= 0 -> ()
+  | _ -> Hashtbl.replace tbl key v
+
+let add_bug t b = keep_min t.bug_tbl (Bug.report_key b) b
+let add_multi_rf t (m : Ctx.multi_rf) = keep_min t.multi_rf_tbl (m.load_label, m.load_addr) m
+let add_finding t f = Hashtbl.replace t.finding_tbl f ()
+
+let add_tally t src =
+  Hashtbl.iter (fun _ b -> add_bug t b) src.bug_tbl;
+  Hashtbl.iter (fun _ m -> add_multi_rf t m) src.multi_rf_tbl;
+  Hashtbl.iter (fun f () -> add_finding t f) src.finding_tbl;
+  t.counts <- Stats.merge t.counts src.counts
+
+let add_record t (r : Checkpoint.t) =
+  List.iter (add_bug t) r.bugs;
+  List.iter (add_multi_rf t) r.multi_rf;
+  List.iter (add_finding t) r.findings;
+  t.counts <- Stats.merge t.counts r.stats
+
+(* The tally in stored form: sorted lists, so the record is independent of
+   hash-table iteration order and of how the tree was partitioned. *)
+let record t ~config ~fingerprint ~frontier ~completed ~interrupted ~wall_time =
+  let values tbl = Hashtbl.fold (fun _ v acc -> v :: acc) tbl [] in
+  let bugs = List.sort compare (values t.bug_tbl) in
+  let multi_rf =
+    List.sort
+      (fun (a : Ctx.multi_rf) (b : Ctx.multi_rf) ->
+        compare (a.load_label, a.load_addr) (b.load_label, b.load_addr))
+      (values t.multi_rf_tbl)
+  in
+  let findings =
+    List.sort Analysis.Report.compare_finding
+      (Hashtbl.fold (fun f () acc -> f :: acc) t.finding_tbl [])
+  in
+  let exhausted = completed && not (config.Config.stop_at_first_bug && bugs <> []) in
+  Checkpoint.make ~fingerprint ~frontier ~bugs ~multi_rf ~findings
+    ~stats:{ t.counts with Stats.wall_time; exhausted; interrupted }
+
+let view ?(config = Config.default) (r : Checkpoint.t) =
+  let findings = if config.Config.analyze then r.findings else [] in
+  let perf =
+    if not config.Config.report_perf then []
+    else
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (f : Analysis.Report.finding) ->
+             match f.labels with
+             | [ perf_label ] when f.pass = Analysis.Redundant.name ->
+                 let perf_kind =
+                   if f.rule = "redundant-flush" then Ctx.Redundant_flush else Ctx.Redundant_fence
+                 in
+                 Some { Ctx.perf_kind; perf_label }
+             | _ -> None)
+           r.findings)
+  in
+  let stats =
+    { r.stats with Stats.multi_rf_loads = List.length r.multi_rf; findings = List.length findings }
+  in
+  { bugs = r.bugs; stats; multi_rf = r.multi_rf; perf; findings }
 
 (* What one worker accumulated over the subtrees it explored.
    [wr_remainder] is the unexplored part of the tasks it was holding when a
    cooperative stop caught it — frontier material for a checkpoint. *)
-type worker_result = {
-  wr_bugs : ((int * string), Bug.t) Hashtbl.t;
-  wr_multi_rf : ((string * Pmem.Addr.t), Ctx.multi_rf) Hashtbl.t;
-  wr_perf : (Ctx.perf_report, unit) Hashtbl.t;
-  wr_findings : (Analysis.Report.finding, unit) Hashtbl.t;
-  wr_stats : Stats.t;
-  wr_remainder : Choice.prefix list;
-}
+type worker_result = { wr_found : tally; wr_remainder : Choice.prefix list }
 
 (* [reserved] hands out global execution slots so the [max_executions]
    budget holds across workers. Bounded CAS rather than fetch-and-add: the
@@ -114,10 +185,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
   let trace_ring = Trace.create ~labels:trace_labels ~depth:config.Config.trace_depth () in
   let timed = config.Config.step_deadline <> None in
   let cancel = if timed then Some (Monitor.cancel_flag monitor idx) else None in
-  let bugs = Hashtbl.create 16 in
-  let multi_rf : (string * Pmem.Addr.t, Ctx.multi_rf) Hashtbl.t = Hashtbl.create 16 in
-  let perf : (Ctx.perf_report, unit) Hashtbl.t = Hashtbl.create 16 in
-  let findings : (Analysis.Report.finding, unit) Hashtbl.t = Hashtbl.create 16 in
+  let found = tally () in
   let executions = ref 0 in
   let rf_created = ref 0 in
   let failure_points = ref 0 in
@@ -137,15 +205,7 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
         dropped = Ctx.trace_dropped ctx;
       }
     in
-    keep_min bugs (Bug.report_key b) b
-  in
-  let harvest ctx =
-    List.iter
-      (fun (r : Ctx.multi_rf) -> keep_min multi_rf (r.load_label, r.load_addr) r)
-      (Ctx.multi_rf_reports ctx);
-    List.iter (fun r -> Hashtbl.replace perf r ()) (Ctx.perf_reports ctx);
-    if config.Config.analyze then
-      List.iter (fun f -> Hashtbl.replace findings f ()) (Ctx.analysis_findings ctx)
+    add_bug found b
   in
   let explore prefix =
     let choice = Choice.resume_from_prefix prefix in
@@ -207,8 +267,9 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
           | [ _ ] | [] -> ());
           original := false
         end;
-        harvest ctx;
-        if config.Config.stop_at_first_bug && Hashtbl.length bugs > 0 then begin
+        List.iter (add_multi_rf found) (Ctx.multi_rf_reports ctx);
+        List.iter (add_finding found) (Ctx.analysis_findings ctx);
+        if config.Config.stop_at_first_bug && Hashtbl.length found.bug_tbl > 0 then begin
           trigger First_bug;
           (* The bug-finding leaf is explored; what remains is everything
              past the next DFS increment. *)
@@ -232,138 +293,61 @@ let worker ~config ~scn ~frontier ~reserved ~stopped ~trigger ~monitor ~idx () =
         drain ()
   in
   drain ();
-  {
-    wr_bugs = bugs;
-    wr_multi_rf = multi_rf;
-    wr_perf = perf;
-    wr_findings = findings;
-    wr_stats =
-      {
-        Stats.zero with
-        Stats.executions = !executions;
-        rf_decisions = !rf_created;
-        failure_points = !failure_points;
-        stores = !stores;
-        flushes = !flushes;
-        snapshot_hits = !snapshot_hits;
-        snapshot_misses = !snapshot_misses;
-        sheds = !sheds;
-      };
-    wr_remainder = !remainder;
-  }
-
-(* Deterministic rendering order of the merge tables, shared by [run] and
-   [merge_outcomes]: sorted lists, so the result is independent of hash-table
-   iteration order and of how the explored tree was partitioned. *)
-let sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl =
-  let bugs = List.sort compare (Hashtbl.fold (fun _ b acc -> b :: acc) bug_tbl []) in
-  let multi_rf =
-    List.sort
-      (fun a b ->
-        compare (a.Ctx.load_label, a.Ctx.load_addr) (b.Ctx.load_label, b.Ctx.load_addr))
-      (Hashtbl.fold (fun _ r acc -> r :: acc) multi_rf_tbl [])
-  in
-  let perf = List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) perf_tbl []) in
-  let findings =
-    List.sort Analysis.Report.compare_finding
-      (Hashtbl.fold (fun f () acc -> f :: acc) findings_tbl [])
-  in
-  (bugs, multi_rf, perf, findings)
-
-(* Combine the outcomes of disjoint subtree explorations — the fleet
-   coordinator's merge of shard results — with exactly the dedup discipline
-   [run] applies across its own workers: per-key least representative for
-   bugs and multi-rf, set union for perf and findings, [Stats.merge] for the
-   counters. [exhausted]/[interrupted] are recomputed from the caller's
-   knowledge of completion (constituent outcomes of capped or preempted
-   shards legitimately carry partial flags). *)
-let merge_outcomes ?(config = Config.default) ~completed ~interrupted outcomes =
-  let bug_tbl = Hashtbl.create 16 in
-  let multi_rf_tbl = Hashtbl.create 16 in
-  let perf_tbl = Hashtbl.create 16 in
-  let findings_tbl = Hashtbl.create 16 in
-  let stats_acc = ref Stats.zero in
-  List.iter
-    (fun o ->
-      List.iter (fun b -> keep_min bug_tbl (Bug.report_key b) b) o.bugs;
-      List.iter
-        (fun (m : Ctx.multi_rf) -> keep_min multi_rf_tbl (m.load_label, m.load_addr) m)
-        o.multi_rf;
-      List.iter (fun p -> Hashtbl.replace perf_tbl p ()) o.perf;
-      List.iter (fun f -> Hashtbl.replace findings_tbl f ()) o.findings;
-      stats_acc := Stats.merge !stats_acc o.stats)
-    outcomes;
-  let bugs, multi_rf, perf, findings =
-    sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl
-  in
-  let stats =
+  found.counts <-
     {
-      !stats_acc with
-      Stats.multi_rf_loads = List.length multi_rf;
-      findings = List.length findings;
-      exhausted = completed && not (config.Config.stop_at_first_bug && bugs <> []);
-      interrupted;
-    }
-  in
-  { bugs; stats; multi_rf; perf; findings }
+      Stats.zero with
+      Stats.executions = !executions;
+      rf_decisions = !rf_created;
+      failure_points = !failure_points;
+      stores = !stores;
+      flushes = !flushes;
+      snapshot_hits = !snapshot_hits;
+      snapshot_misses = !snapshot_misses;
+      sheds = !sheds;
+    };
+  { wr_found = found; wr_remainder = !remainder }
+
+(* Combines the stored records of disjoint subtree explorations — a fleet's
+   shard results — in one tally, the same merge [run] applies across its
+   own workers. [exhausted]/[interrupted] come from the caller's knowledge
+   of completion (constituent records of capped or preempted shards
+   legitimately carry partial flags). *)
+let merge_outcomes ?(config = Config.default) ~fingerprint ~frontier ~completed ~interrupted
+    records =
+  let t = tally () in
+  List.iter (add_record t) records;
+  record t ~config ~fingerprint ~frontier ~completed ~interrupted
+    ~wall_time:t.counts.Stats.wall_time
 
 let run ?(config = Config.default) ?resume ?checkpoint scn =
   let jobs = max 1 config.Config.jobs in
   let t0 = Unix.gettimeofday () in
   let fingerprint = Checkpoint.fingerprint ~workload:scn.name config in
-  (* Global merge tables — deterministic per-key least representative, so the
-     final reports are byte-identical for any jobs value, any partition of
-     the tree across rounds, and any interrupt/resume history. *)
-  let bug_tbl = Hashtbl.create 16 in
-  let multi_rf_tbl = Hashtbl.create 16 in
-  let perf_tbl = Hashtbl.create 16 in
-  let findings_tbl = Hashtbl.create 16 in
-  let stats_acc = ref Stats.zero in
-  let prior_wall = ref 0. in
+  (* The run's tally, seeded from a resumed checkpoint: its counters restart
+     the execution budget where it stood, and its wall time is that of the
+     earlier sessions. *)
+  let merged = tally () in
   let initial_tasks =
     match resume with
     | None -> [ Choice.root ]
-    | Some (cp : Checkpoint.t) ->
+    | Some cp ->
         Checkpoint.validate cp ~workload:scn.name ~config;
-        List.iter (fun b -> keep_min bug_tbl (Bug.report_key b) b) cp.bugs;
-        List.iter
-          (fun (m : Ctx.multi_rf) -> keep_min multi_rf_tbl (m.load_label, m.load_addr) m)
-          cp.multi_rf;
-        List.iter (fun p -> Hashtbl.replace perf_tbl p ()) cp.perf;
-        List.iter (fun f -> Hashtbl.replace findings_tbl f ()) cp.findings;
-        prior_wall := cp.stats.Stats.wall_time;
-        (* The stored flags describe the interrupted session; this session
-           recomputes them. The counters carry over — in particular
-           [executions] restarts the execution budget where it stood. *)
-        stats_acc := { cp.stats with Stats.wall_time = 0.; exhausted = true; interrupted = false };
+        add_record merged cp;
         Checkpoint.frontier_prefixes cp
   in
-  let reserved = Atomic.make !stats_acc.Stats.executions in
-  let merged_reports () = sorted_reports ~bug_tbl ~multi_rf_tbl ~perf_tbl ~findings_tbl in
-  let outcome_now ~completed ~interrupted =
-    let bugs, multi_rf, perf, findings = merged_reports () in
-    let stats =
-      {
-        !stats_acc with
-        Stats.multi_rf_loads = Hashtbl.length multi_rf_tbl;
-        findings = List.length findings;
-        wall_time = !prior_wall +. (Unix.gettimeofday () -. t0);
-        exhausted = completed && not (config.Config.stop_at_first_bug && bugs <> []);
-        interrupted;
-      }
-    in
-    { bugs; stats; multi_rf; perf; findings }
+  let prior_wall = merged.counts.Stats.wall_time in
+  let reserved = Atomic.make merged.counts.Stats.executions in
+  let record_now ~remainder ~completed ~interrupted =
+    record merged ~config ~fingerprint
+      ~frontier:(List.map Choice.encode_prefix remainder)
+      ~completed ~interrupted
+      ~wall_time:(prior_wall +. (Unix.gettimeofday () -. t0))
   in
-  let save_checkpoint ~remainder ~interrupted =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-        let o = outcome_now ~completed:(remainder = []) ~interrupted in
-        Checkpoint.save
-          (Checkpoint.make ~fingerprint
-             ~frontier:(List.map Choice.encode_prefix remainder)
-             ~bugs:o.bugs ~multi_rf:o.multi_rf ~perf:o.perf ~findings:o.findings ~stats:o.stats)
-          path
+  let save r = Option.iter (Checkpoint.save r) checkpoint in
+  let finish ~remainder ~completed ~interrupted =
+    let r = record_now ~remainder ~completed ~interrupted in
+    save r;
+    view ~config r
   in
   (* One round: explore the given tasks until completion or the first stop
      trigger. Returns the stop reason (None = ran to completion) and the
@@ -426,14 +410,7 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
         (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
         results
     in
-    List.iter
-      (fun r ->
-        Hashtbl.iter (fun key b -> keep_min bug_tbl key b) r.wr_bugs;
-        Hashtbl.iter (fun key m -> keep_min multi_rf_tbl key m) r.wr_multi_rf;
-        Hashtbl.iter (fun p () -> Hashtbl.replace perf_tbl p ()) r.wr_perf;
-        Hashtbl.iter (fun f () -> Hashtbl.replace findings_tbl f ()) r.wr_findings;
-        stats_acc := Stats.merge !stats_acc r.wr_stats)
-      results;
+    List.iter (fun r -> add_tally merged r.wr_found) results;
     let remainder =
       List.concat_map (fun r -> r.wr_remainder) results @ Frontier.drain_remaining frontier
     in
@@ -442,20 +419,17 @@ let run ?(config = Config.default) ?resume ?checkpoint scn =
   let rec rounds tasks =
     match round tasks with
     | Some Tick, (_ :: _ as remainder) ->
-        save_checkpoint ~remainder ~interrupted:true;
+        save (record_now ~remainder ~completed:false ~interrupted:true);
         rounds remainder
     | (None | Some Tick), _ ->
         (* Ran dry (a Tick that found nothing left is completion too). *)
-        save_checkpoint ~remainder:[] ~interrupted:false;
-        outcome_now ~completed:true ~interrupted:false
+        finish ~remainder:[] ~completed:true ~interrupted:false
     | Some (Interrupted | Wall_budget), remainder ->
-        save_checkpoint ~remainder ~interrupted:true;
-        outcome_now ~completed:false ~interrupted:true
+        finish ~remainder ~completed:false ~interrupted:true
     | Some (Capped | First_bug), remainder ->
         (* Cut short, but not "interrupted": resuming a capped checkpoint
            just caps again (the budget travels in the stats). *)
-        save_checkpoint ~remainder ~interrupted:false;
-        outcome_now ~completed:false ~interrupted:false
+        finish ~remainder ~completed:false ~interrupted:false
   in
   rounds initial_tasks
 

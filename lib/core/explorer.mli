@@ -27,13 +27,16 @@ type outcome = {
   stats : Stats.t;
   multi_rf : Ctx.multi_rf list;  (** deduplicated debugging reports *)
   perf : Ctx.perf_report list;
-      (** deduplicated redundant-flush/fence reports (advisory, not bugs) *)
+      (** the {!Analysis.Redundant} findings as sorted, deduplicated
+          (kind, label) pairs — advisory, not bugs; empty unless
+          [config.report_perf] *)
   findings : Analysis.Report.finding list;
-      (** analysis-pass findings across every explored execution, merged with
-          the same deterministic discipline as [bugs] (deduplicated, sorted
-          with {!Analysis.Report.compare_finding}); empty unless
-          [config.analyze] *)
+      (** analysis-pass findings across every explored execution,
+          deduplicated and sorted with {!Analysis.Report.compare_finding};
+          empty unless [config.analyze] *)
 }
+(** A view of a report record ({!view}): what a run shows, given its
+    configuration. *)
 
 val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scenario -> outcome
 (** Explores the scenario exhaustively. Checked-program bugs become entries
@@ -43,10 +46,10 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     {b Survivability.} With [checkpoint:path] the run periodically (every
     [config.checkpoint_every] seconds) and at every stop — including
     completion — atomically writes a {!Checkpoint} of the unexplored
-    frontier and the merged reports to [path]. With [resume:cp] it first
+    frontier and the report record to [path]. With [resume:cp] it first
     validates [cp]'s fingerprint against this workload and configuration
-    (raising {!Checkpoint.Rejected} on mismatch), seeds the report tables
-    and statistics from it, and explores only the checkpointed frontier; an
+    (raising {!Checkpoint.Rejected} on mismatch), seeds its merge with
+    [cp]'s record, and explores only the checkpointed frontier; an
     interrupted-then-resumed run therefore reports byte-identically
     (see {!pp_report}) to an uninterrupted one, for every [jobs] value and
     with the snapshot layer on or off. A cooperative stop — a SIGINT
@@ -63,7 +66,8 @@ val run : ?config:Config.t -> ?resume:Checkpoint.t -> ?checkpoint:string -> scen
     subtree prefixes and donates unexplored sibling subtrees ({!Choice.split})
     whenever a peer runs dry. Reports are deduplicated keeping a
     schedule-independent representative and sorted, so an exhaustive run
-    produces byte-identical [bugs]/[multi_rf]/[perf] and identical [stats]
+    produces a byte-identical report record, and so identical
+    [bugs]/[multi_rf]/[perf]/[findings] and [stats]
     (other than [wall_time]) for every [jobs] value. Runs cut short by
     [max_executions] or [stop_at_first_bug] may explore a different subset
     of executions depending on [jobs] and timing.
@@ -93,17 +97,30 @@ val interrupts_requested : unit -> int
     SIGINT stops cooperatively (finish replays, checkpoint), a second one
     during the wind-down forces an immediate exit. *)
 
+val view : ?config:Config.t -> Checkpoint.t -> outcome
+(** The outcome a report record shows under [config]: [perf] maps the
+    redundant pass's findings to (kind, label) when [report_perf] is set
+    (["redundant-fence"] and ["redundant-mfence"] both become
+    [Redundant_fence]), [findings] is every finding when [analyze] is set,
+    and [Stats.multi_rf_loads] and [Stats.findings] count the shown lists. *)
+
 val merge_outcomes :
-  ?config:Config.t -> completed:bool -> interrupted:bool -> outcome list -> outcome
-(** Combines the outcomes of {e disjoint} subtree explorations — shard
-    results in fleet mode, or a prior checkpoint's outcome plus its
-    continuation — with exactly the deduplication and sorting discipline
-    {!run} applies across its own workers, so merging shard outcomes of any
-    partition of the tree reproduces the single-process reports byte for
-    byte. [Stats.exhausted] is recomputed from [completed] (and
-    [config.stop_at_first_bug]); [Stats.interrupted] is set from
-    [interrupted] — constituent outcomes of capped or preempted shards
-    legitimately carry partial flags that must not poison the merge. *)
+  ?config:Config.t ->
+  fingerprint:string ->
+  frontier:string list ->
+  completed:bool ->
+  interrupted:bool ->
+  Checkpoint.t list ->
+  Checkpoint.t
+(** Combines the report records of {e disjoint} subtree explorations —
+    shard results in fleet mode, or a prior checkpoint plus its
+    continuation — in the one merge {!run} applies across its own workers,
+    so merging the records of any partition of the tree reproduces the
+    single-process record byte for byte. The result carries [fingerprint]
+    and [frontier]; [Stats.exhausted] is recomputed from [completed] (and
+    [config.stop_at_first_bug]) and [Stats.interrupted] is set from
+    [interrupted] — records of capped or preempted shards legitimately
+    carry partial flags that must not poison the merge. *)
 
 val found_bug : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit

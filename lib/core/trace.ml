@@ -49,27 +49,6 @@ let add t ev =
   let off = claim t in
   if off >= 0 then Arena.encode t.labels t.cells off ev
 
-let add_store t ~addr ~width ~value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_store t.labels t.cells off ~addr ~width ~value ~tid ~label
-
-let add_load t ~addr ~width ~value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_load t.labels t.cells off ~addr ~width ~value ~tid ~label
-
-let add_rmw t ~addr ~width ~old_value ~new_value ~tid ~label =
-  let off = claim t in
-  if off >= 0 then
-    Arena.encode_rmw t.labels t.cells off ~addr ~width ~old_value ~new_value ~tid ~label
-
-let add_flush t ~line_addr ~kind ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_flush t.labels t.cells off ~line_addr ~kind ~tid ~label
-
-let add_fence t ~kind ~tid ~label =
-  let off = claim t in
-  if off >= 0 then Arena.encode_fence t.labels t.cells off ~kind ~tid ~label
-
 let copy t =
   {
     labels = t.labels;

@@ -1,11 +1,10 @@
 (** A bounded ring of recent execution events, attached to bug reports so a
     developer can see what led to the crash (paper §4, Debugging support).
 
-    Events live packed in a flat int ring (see {!Analysis.Arena}): the hot
-    [add_*] entry points write a handful of ints, snapshot copy/restore are
-    array blits, and boxed {!Analysis.Event.t} values are rebuilt only when a
-    report is actually printed — keeping the ring near-zero-cost on the happy
-    path. *)
+    Events live packed in a flat int ring (see {!Analysis.Arena}): adding
+    one writes a handful of ints, snapshot copy/restore are array blits, and
+    boxed {!Analysis.Event.t} values are rebuilt from the ring only when a
+    report is actually printed. *)
 
 type t
 
@@ -26,29 +25,8 @@ val labels : t -> Analysis.Arena.labels
     per-worker, never shared across domains. *)
 
 val add : t -> Analysis.Event.t -> unit
-(** Packs a boxed event. Hot paths should prefer the [add_*] variants
-    below, which skip constructing the event. *)
+(** Packs an event into the next cell, overwriting the oldest when full. *)
 
-val add_store :
-  t -> addr:Pmem.Addr.t -> width:int -> value:int -> tid:int -> label:string -> unit
-
-val add_load :
-  t -> addr:Pmem.Addr.t -> width:int -> value:int -> tid:int -> label:string -> unit
-
-val add_rmw :
-  t ->
-  addr:Pmem.Addr.t ->
-  width:int ->
-  old_value:int ->
-  new_value:int option ->
-  tid:int ->
-  label:string ->
-  unit
-
-val add_flush :
-  t -> line_addr:Pmem.Addr.t -> kind:Analysis.Event.flush_kind -> tid:int -> label:string -> unit
-
-val add_fence : t -> kind:Analysis.Event.fence_kind -> tid:int -> label:string -> unit
 val clear : t -> unit
 
 val copy : t -> t

@@ -70,8 +70,8 @@ let pp_fleet ppf f =
 
 type result = {
   outcome : Ex.outcome;
+  checkpoint : Ck.t;
   fleet : fleet_stats;
-  remaining : string list;
   interrupted : bool;
 }
 
@@ -178,10 +178,10 @@ let run ~fleet ~config ~scenario =
       max_executions = min config.Jaaru.Config.max_executions fleet.split_execs;
     }
   in
-  let outcome0 = Ex.run ~config:split_config ~checkpoint:split_path scenario in
+  ignore (Ex.run ~config:split_config ~checkpoint:split_path scenario : Ex.outcome);
   let cp0 = Ck.load split_path in
-  let phase1_only = Ck.completed cp0 || outcome0.Ex.stats.Jaaru.Stats.interrupted in
-  if outcome0.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
+  let phase1_only = Ck.completed cp0 || cp0.Ck.stats.Jaaru.Stats.interrupted in
+  if cp0.Ck.stats.Jaaru.Stats.interrupted then interrupted := true;
 
   let shard_target = max 1 fleet.workers * max 1 fleet.shards_per_worker in
   let groups = if phase1_only then [] else partition (Ck.frontier_prefixes cp0) shard_target in
@@ -204,22 +204,13 @@ let run ~fleet ~config ~scenario =
   (* Remainders stolen from preempted workers become fresh shards. *)
   let next_sid = ref (Array.length shards) in
   let shard_list () = Array.to_list shards @ List.rev !extra_shards in
-  let results : (int, Ex.outcome) Hashtbl.t = Hashtbl.create 64 in
-
-  let outcome_of_cp (cp : Ck.t) : Ex.outcome =
-    {
-      Ex.bugs = cp.Ck.bugs;
-      stats = cp.Ck.stats;
-      multi_rf = cp.Ck.multi_rf;
-      perf = cp.Ck.perf;
-      findings = cp.Ck.findings;
-    }
-  in
+  (* Each finished shard's report record, merged only at the end. *)
+  let results : (int, Ck.t) Hashtbl.t = Hashtbl.create 64 in
 
   let write_shard sh =
     let cp =
-      Ck.make ~fingerprint:real_fp ~frontier:sh.prefixes ~bugs:[] ~multi_rf:[] ~perf:[]
-        ~findings:[] ~stats:Jaaru.Stats.zero
+      Ck.make ~fingerprint:real_fp ~frontier:sh.prefixes ~bugs:[] ~multi_rf:[] ~findings:[]
+        ~stats:Jaaru.Stats.zero
     in
     Ck.save cp sh.path
   in
@@ -382,7 +373,7 @@ let run ~fleet ~config ~scenario =
           (match List.find_opt (fun s -> s.sid = sid) (shard_list ()) with
           | Some sh when sh.status <> Done ->
               sh.status <- Done;
-              Hashtbl.replace results sid (outcome_of_cp cp);
+              Hashtbl.replace results sid cp;
               if cp.Ck.frontier <> [] then begin
                 (* A preempted worker returned the explored part plus the
                    remainder; the remainder becomes new shards. *)
@@ -487,14 +478,13 @@ let run ~fleet ~config ~scenario =
     write_shard sh;
     let out = sh.path ^ ".out" in
     match
-      let cp = Ck.load sh.path in
-      Ex.run ~config ~resume:cp ~checkpoint:out scenario
+      ignore (Ex.run ~config ~resume:(Ck.load sh.path) ~checkpoint:out scenario : Ex.outcome);
+      Ck.load out
     with
-    | o ->
-        let rcp = Ck.load out in
+    | rcp ->
         sh.status <- Done;
-        Hashtbl.replace results sh.sid o;
-        if o.Ex.stats.Jaaru.Stats.interrupted then interrupted := true;
+        Hashtbl.replace results sh.sid rcp;
+        if rcp.Ck.stats.Jaaru.Stats.interrupted then interrupted := true;
         (* Any remainder — a cap, or the interrupt — must survive as new
            (pending) shards so it reaches the aggregate checkpoint. *)
         if rcp.Ck.frontier <> [] then steal_split (Ck.frontier_prefixes rcp)
@@ -683,10 +673,7 @@ let run ~fleet ~config ~scenario =
     Array.iter release_slot slots
   end;
 
-  let shard_outcomes =
-    shard_list ()
-    |> List.filter_map (fun s -> Hashtbl.find_opt results s.sid)
-  in
+  let shard_records = List.filter_map (fun s -> Hashtbl.find_opt results s.sid) (shard_list ()) in
   let quarantined =
     shard_list ()
     |> List.filter_map (fun s ->
@@ -698,15 +685,17 @@ let run ~fleet ~config ~scenario =
     else unfinished () |> List.concat_map (fun s -> s.prefixes)
   in
   let completed = remaining = [] && not !interrupted in
-  let outcome =
-    Ex.merge_outcomes ~config ~completed ~interrupted:!interrupted (outcome0 :: shard_outcomes)
+  let checkpoint =
+    Ex.merge_outcomes ~config ~fingerprint:real_fp ~frontier:remaining ~completed
+      ~interrupted:!interrupted (cp0 :: shard_records)
   in
   let effective =
     if fleet.worker_argv = None then 0
     else List.length (List.filter (fun w -> not w.disabled) (Array.to_list slots))
   in
   {
-    outcome;
+    outcome = Ex.view ~config checkpoint;
+    checkpoint;
     fleet =
       {
         shards = !next_sid;
@@ -721,6 +710,5 @@ let run ~fleet ~config ~scenario =
         quarantined;
         in_process = fleet.worker_argv = None || all_disabled ();
       };
-    remaining;
     interrupted = !interrupted;
   }

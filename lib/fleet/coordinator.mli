@@ -74,11 +74,15 @@ type fleet_stats = {
 val pp_fleet : Format.formatter -> fleet_stats -> unit
 
 type result = {
-  outcome : Jaaru.Explorer.outcome;  (** merged, {!Jaaru.Explorer.pp_report}-ready *)
+  outcome : Jaaru.Explorer.outcome;
+      (** {!Jaaru.Explorer.view} of [checkpoint]: merged,
+          {!Jaaru.Explorer.pp_report}-ready *)
+  checkpoint : Jaaru.Checkpoint.t;
+      (** the merged report record under the run's fingerprint; its
+          frontier holds the encoded prefixes of unexplored shards
+          (quarantined, or unfinished at an interrupt), so it is the
+          aggregate resume checkpoint as it stands *)
   fleet : fleet_stats;
-  remaining : string list;
-      (** encoded prefixes of unexplored shards (quarantined, or unfinished
-          at an interrupt) — the frontier of an aggregate resume checkpoint *)
   interrupted : bool;
 }
 

@@ -118,9 +118,10 @@ let test_checkpoint_corruption () =
       (match Checkpoint.load path with
       | _ -> Alcotest.fail "corrupt checkpoint must be rejected"
       | exception Checkpoint.Rejected _ -> ());
-      (* Not a checkpoint at all, and a valid image behind the previous
-         format's magic line (v2 encoded three more stats counters): both
-         are refused, never misread. *)
+      (* Not a checkpoint at all, and a valid image behind an earlier
+         format's magic line (v2 encoded three more stats counters, v3 a
+         perf-report list and two derived counters): all are refused,
+         never misread. *)
       let body = String.sub data (String.index data '\n') (String.length data - String.index data '\n') in
       List.iter
         (fun image ->
@@ -128,7 +129,7 @@ let test_checkpoint_corruption () =
           match Checkpoint.load path with
           | _ -> Alcotest.fail "bad magic must be rejected"
           | exception Checkpoint.Rejected _ -> ())
-        [ "not a checkpoint"; "jaaru-checkpoint-v2" ^ body ])
+        [ "not a checkpoint"; "jaaru-checkpoint-v2" ^ body; "jaaru-checkpoint-v3" ^ body ])
 
 (* A save that dies mid-write (full disk, kill) must neither corrupt the
    existing checkpoint nor leave its .tmp sibling behind. *)

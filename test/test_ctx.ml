@@ -369,6 +369,17 @@ let test_mixed_load_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words over the loads" 0.
     (minor_words_over 10_000 (fun _ -> Ctx.load64 ctx ~label:"r" base))
 
+(* A store wider than a word is refused where it is issued. Under
+   [Buffered] it would otherwise wait in the store buffer, and forwarding
+   its upper bytes to a load would shift by 64 bits or more. *)
+let test_store_width_checked () =
+  let ctx = Ctx.create ~config:buffered ~choice:(Choice.create ()) () in
+  Alcotest.check_raises "width 16" (Invalid_argument "Ctx.store: width not in [1, 8]")
+    (fun () -> Ctx.store ctx ~label:"wide" ~width:16 base 1);
+  Alcotest.check_raises "width 0" (Invalid_argument "Ctx.store: width not in [1, 8]")
+    (fun () -> Ctx.store ctx ~label:"empty" ~width:0 base 1);
+  Alcotest.(check int) "nothing was buffered" 0 (Ctx.load64 ctx ~label:"r" base)
+
 (* --- span loads against the byte-by-byte loop ---------------------------- *)
 
 (* The byte-by-byte load this path replaced, kept as the oracle: per byte,
@@ -558,6 +569,7 @@ let () =
           Alcotest.test_case "memset/memcpy" `Quick test_memset_memcpy;
           Alcotest.test_case "memcpy_persist durable" `Quick test_memcpy_persist_durable;
           Alcotest.test_case "crash inside parallel" `Quick test_crash_inside_parallel;
+          Alcotest.test_case "store width outside [1, 8]" `Quick test_store_width_checked;
         ] );
       ( "threads",
         [

@@ -10,32 +10,50 @@ let run_one ?(config = no_failures) body =
 
 (* --- performance reports ---------------------------------------------------- *)
 
+(* The second input flushes two lines under one label twice: the label is
+   redundant on both lines, and that is still one report. *)
 let test_redundant_flush_detected () =
-  let o =
-    run_one (fun ctx ->
+  List.iter
+    (fun body ->
+      match (run_one body).Explorer.perf with
+      | [ { Ctx.perf_kind = Ctx.Redundant_flush; perf_label = "bad flush" } ] -> ()
+      | reports ->
+          Alcotest.failf "expected one redundant flush, got %d reports" (List.length reports))
+    [
+      (fun ctx ->
         Ctx.store64 ctx ~label:"w" base 1;
         Ctx.clflush ctx ~label:"good flush" base 8;
-        Ctx.clflush ctx ~label:"bad flush" base 8 (* nothing new on the line *))
-  in
-  match o.Explorer.perf with
-  | [ { Ctx.perf_kind = Ctx.Redundant_flush; perf_label = "bad flush" } ] -> ()
-  | reports ->
-      Alcotest.failf "expected one redundant flush, got %d reports" (List.length reports)
+        Ctx.clflush ctx ~label:"bad flush" base 8 (* nothing new on the line *));
+      (fun ctx ->
+        Ctx.store64 ctx ~label:"w" base 1;
+        Ctx.store64 ctx ~label:"w" (base + 64) 2;
+        Ctx.clwb ctx ~label:"good flush" base 128;
+        Ctx.clwb ctx ~label:"bad flush" base 128);
+    ]
 
 let test_flush_of_clean_line () =
   let o = run_one (fun ctx -> Ctx.clflush ctx ~label:"pointless" base 8) in
   Alcotest.(check int) "reported" 1 (List.length o.Explorer.perf)
 
+(* The second input adds a redundant mfence under the sfence's label: the
+   pass reports two rules, and the label is still one redundant fence. *)
 let test_redundant_fence_detected () =
-  let o =
-    run_one (fun ctx ->
+  List.iter
+    (fun body ->
+      match (run_one body).Explorer.perf with
+      | [ { Ctx.perf_kind = Ctx.Redundant_fence; perf_label = "bad fence" } ] -> ()
+      | reports -> Alcotest.failf "expected one redundant fence, got %d" (List.length reports))
+    [
+      (fun ctx ->
         Ctx.store64 ctx ~label:"w" base 1;
         Ctx.sfence ctx ~label:"good fence" ();
-        Ctx.sfence ctx ~label:"bad fence" ())
-  in
-  match o.Explorer.perf with
-  | [ { Ctx.perf_kind = Ctx.Redundant_fence; perf_label = "bad fence" } ] -> ()
-  | reports -> Alcotest.failf "expected one redundant fence, got %d" (List.length reports)
+        Ctx.sfence ctx ~label:"bad fence" ());
+      (fun ctx ->
+        Ctx.store64 ctx ~label:"w" base 1;
+        Ctx.sfence ctx ~label:"good fence" ();
+        Ctx.sfence ctx ~label:"bad fence" ();
+        Ctx.mfence ctx ~label:"bad fence" ());
+    ]
 
 let test_clean_protocol_no_reports () =
   let o =
@@ -49,10 +67,20 @@ let test_clean_protocol_no_reports () =
   in
   Alcotest.(check int) "no reports" 0 (List.length o.Explorer.perf)
 
+(* With [analyze] on, the redundant flush is still found: it shows as an
+   analysis finding, not as a perf report. *)
 let test_report_perf_off () =
   let config = { no_failures with Config.report_perf = false } in
   let o = run_one ~config (fun ctx -> Ctx.clflush ctx ~label:"pointless" base 8) in
-  Alcotest.(check int) "suppressed" 0 (List.length o.Explorer.perf)
+  Alcotest.(check int) "suppressed" 0 (List.length o.Explorer.perf);
+  let config = { config with Config.analyze = true } in
+  let o = run_one ~config (fun ctx -> Ctx.clflush ctx ~label:"pointless" base 8) in
+  Alcotest.(check int) "suppressed with analyze on" 0 (List.length o.Explorer.perf);
+  Alcotest.(check bool) "redundant-flush finding" true
+    (List.exists
+       (fun (f : Analysis.Report.finding) ->
+         f.rule = "redundant-flush" && f.labels = [ "pointless" ])
+       o.Explorer.findings)
 
 let test_perf_resets_at_crash () =
   (* A line flushed before the crash is clean in the cache of the next

@@ -194,21 +194,24 @@ let test_merge_outcomes_differential () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       (* Explore a capped first half, then the checkpointed remainder, and
-         merge the two partial outcomes. *)
+         merge the two partial records. *)
       let capped = { config with Config.max_executions = 16 } in
-      let o1 = Explorer.run ~config:capped ~checkpoint:path scn in
+      ignore (Explorer.run ~config:capped ~checkpoint:path scn : Explorer.outcome);
       let cp = Checkpoint.load path in
       Alcotest.(check bool) "cap split the run" true (cp.Checkpoint.frontier <> []);
       (* The remainder resumes under the full config; reports must not
          double-count the first half, so seed it with empty stats. *)
+      let fingerprint = Checkpoint.fingerprint ~workload:scn.Explorer.name config in
       let remainder =
-        Checkpoint.make
-          ~fingerprint:(Checkpoint.fingerprint ~workload:scn.Explorer.name config)
-          ~frontier:cp.Checkpoint.frontier ~bugs:[] ~multi_rf:[] ~perf:[] ~findings:[]
-          ~stats:Stats.zero
+        Checkpoint.make ~fingerprint ~frontier:cp.Checkpoint.frontier ~bugs:[] ~multi_rf:[]
+          ~findings:[] ~stats:Stats.zero
       in
-      let o2 = Explorer.run ~config ~resume:remainder scn in
-      let merged = Explorer.merge_outcomes ~config ~completed:true ~interrupted:false [ o1; o2 ] in
+      ignore (Explorer.run ~config ~resume:remainder ~checkpoint:path scn : Explorer.outcome);
+      let merged =
+        Explorer.view ~config
+          (Explorer.merge_outcomes ~config ~fingerprint ~frontier:[] ~completed:true
+             ~interrupted:false [ cp; Checkpoint.load path ])
+      in
       Alcotest.(check string) "merge of disjoint halves = uninterrupted run"
         (Lazy.force deep_report) (report_text merged);
       Alcotest.(check bool) "merged run exhausted" true merged.Explorer.stats.Stats.exhausted)
@@ -233,7 +236,8 @@ let test_coordinator_in_process_differential () =
   let r = coordinator_case scn config ~chaos:Fleet.Supervise.no_chaos ~workers:3 in
   Alcotest.(check string) "fleet(workers=3, in-process) = single process" expected
     (report_text r.Fleet.Coordinator.outcome);
-  Alcotest.(check bool) "nothing remaining" true (r.Fleet.Coordinator.remaining = []);
+  Alcotest.(check bool) "nothing remaining" true
+    (r.Fleet.Coordinator.checkpoint.Checkpoint.frontier = []);
   Alcotest.(check bool) "not interrupted" false r.Fleet.Coordinator.interrupted;
   Alcotest.(check bool) "fell back in-process" true
     r.Fleet.Coordinator.fleet.Fleet.Coordinator.in_process;
@@ -286,15 +290,7 @@ let test_coordinator_interrupt_remainder () =
         Alcotest.(check bool) "interrupted fleet reports interrupted stats" true
           r.Fleet.Coordinator.outcome.Explorer.stats.Stats.interrupted;
         Explorer.clear_interrupt ();
-        let o = r.Fleet.Coordinator.outcome in
-        let cp =
-          Checkpoint.make
-            ~fingerprint:(Checkpoint.fingerprint ~workload:scn.Explorer.name config)
-            ~frontier:r.Fleet.Coordinator.remaining ~bugs:o.Explorer.bugs
-            ~multi_rf:o.Explorer.multi_rf ~perf:o.Explorer.perf ~findings:o.Explorer.findings
-            ~stats:o.Explorer.stats
-        in
-        let final = Explorer.run ~config ~resume:cp scn in
+        let final = Explorer.run ~config ~resume:r.Fleet.Coordinator.checkpoint scn in
         Alcotest.(check string) "interrupted fleet + resume = uninterrupted" expected
           (report_text final)
       end

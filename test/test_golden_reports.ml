@@ -238,7 +238,8 @@ let coordinator ~workers config scn =
   let fleet = { (Fleet.Coordinator.default ~scratch) with workers; worker_argv = None } in
   let finally () = ignore (Sys.command ("rm -rf " ^ Filename.quote scratch)) in
   let r = Fun.protect ~finally (fun () -> Fleet.Coordinator.run ~fleet ~config ~scenario:scn) in
-  if r.remaining <> [] || r.fleet.quarantined <> [] then failwith "shards left unexplored";
+  if r.checkpoint.frontier <> [] || r.fleet.quarantined <> [] then
+    failwith "shards left unexplored";
   outcome r.outcome
 
 (* The rest of the first line of [path] that starts with [prefix]. *)
