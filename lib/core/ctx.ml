@@ -138,6 +138,7 @@ let trace_dropped ctx = Trace.dropped ctx.trace
 let last_label ctx = ctx.last
 let exec_stack ctx = ctx.stack
 let failures ctx = ctx.failure_count
+let buffered_state ctx = (!(ctx.seq), List.map Tso.Thread_state.copy ctx.threads)
 
 (* The one event-emission point: the ring stores the event unrendered (no
    formatting unless a bug report is printed) and the analysis engine feeds

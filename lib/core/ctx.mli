@@ -116,6 +116,12 @@ val last_label : t -> string
 val exec_stack : t -> Exec.Exec_stack.t
 val failures : t -> int
 
+val buffered_state : t -> int * Tso.Thread_state.t list
+(** The sequence counter and copies of the live threads' TSO state (store
+    buffer, flush buffer, line and fence timestamps), in thread order: what
+    a crash here leaves buffered. Read-only: the copies share nothing
+    mutable with the context. For the eager baseline's store-buffer cuts. *)
+
 (** {1 Program-facing API} *)
 
 val config : t -> Config.t

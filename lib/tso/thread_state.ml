@@ -28,6 +28,7 @@ let tid th = th.tid
 let store_buffer th = th.sb
 let flush_buffer th = th.fb
 let line_ts th line = Pmem.Int_table.find th.line_ts line
+let fence_ts th = th.fence_ts
 let set_line_ts th line seq = Pmem.Int_table.replace th.line_ts line seq
 
 (* Phase one: enqueue (Fig. 7). *)

@@ -21,6 +21,13 @@ val tid : t -> int
 val store_buffer : t -> Store_buffer.t
 val flush_buffer : t -> Flush_buffer.t
 
+val line_ts : t -> int -> int
+(** The sequence number of the thread's last evicted store or clflush to the
+    given line (a line index, not an address), 0 if none. *)
+
+val fence_ts : t -> int
+(** The sequence number of the thread's last evicted sfence, 0 if none. *)
+
 (** {1 Phase one — executing instructions (Fig. 7)} *)
 
 val exec_store : t -> Pmem.Addr.t -> value:int -> width:int -> label:string -> unit

@@ -5,7 +5,10 @@
     failure-injection point it eagerly materialises {e every} legal
     post-failure persistent-memory state — one cut point per cache line,
     constrained by the line's last guaranteed flush — and runs the recovery
-    program on each concrete image.
+    program on each concrete image. Under [Buffered] eviction it first
+    enumerates every per-thread store-buffer cut a crash may leave (each
+    thread keeps a prefix of its buffer), drains each cut vector the way a
+    crash drains it, and enumerates the line cuts of each result.
 
     It exists for two purposes: as the baseline whose execution counts the
     ablation benchmark compares against, and as a cross-validation oracle —

@@ -113,10 +113,10 @@ let observe_all ctx =
        (fun l -> List.map (fun o -> string_of_int (v l o)) [ 0; 1 ])
        (List.init lines Fun.id))
 
-let eager_equals_lazy pre =
+let eager_equals_lazy ?config pre =
   let post = observe_all in
-  let eager = Yat.Eager.check ~state_limit:200_000 ~pre ~post () in
-  let lazy_b = Yat.Eager.jaaru_behaviors ~pre ~post () in
+  let eager = Yat.Eager.check ?config ~state_limit:200_000 ~pre ~post () in
+  let lazy_b = Yat.Eager.jaaru_behaviors ?config ~pre ~post () in
   (not eager.Yat.Eager.truncated) && eager.Yat.Eager.behaviors = lazy_b
 
 let prop_eager_equals_lazy =
@@ -145,6 +145,20 @@ let prop_buffered_superset =
           ~pre ~post ()
       in
       List.for_all (fun b -> List.mem b buffered) eager_policy)
+
+(* The exact oracle for the Buffered policy: the eager enumerator cuts every
+   thread's store buffer at every failure point, drains each cut vector and
+   enumerates the line cuts of the result; Jaaru's exploration must observe
+   exactly the same recovery behaviours, for one thread and for two. *)
+let buffered_config = { Config.default with Config.evict_policy = Config.Buffered }
+
+let prop_yat_equals_jaaru_buffered =
+  QCheck.Test.make ~name:"Yat = jaaru under Buffered" ~count:2000 program_arb (fun ops ->
+      eager_equals_lazy ~config:buffered_config (fun ctx -> run_program ctx ops))
+
+let prop_yat_equals_jaaru_buffered_threaded =
+  QCheck.Test.make ~name:"Yat = jaaru under Buffered, two threads" ~count:1000 threaded_arb
+    (fun prog -> eager_equals_lazy ~config:buffered_config (fun ctx -> run_threaded ctx prog))
 
 (* Determinism: running the same scenario twice gives identical statistics. *)
 let prop_exploration_deterministic =
@@ -486,6 +500,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_eager_equals_lazy;
           QCheck_alcotest.to_alcotest prop_eager_equals_lazy_threaded;
           QCheck_alcotest.to_alcotest prop_buffered_superset;
+          QCheck_alcotest.to_alcotest prop_yat_equals_jaaru_buffered;
+          QCheck_alcotest.to_alcotest prop_yat_equals_jaaru_buffered_threaded;
           QCheck_alcotest.to_alcotest prop_exploration_deterministic;
           QCheck_alcotest.to_alcotest prop_flush_shrinks;
         ] );

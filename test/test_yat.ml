@@ -58,9 +58,9 @@ let count_recipe_explosion () =
 
 (* --- eager vs lazy equivalence on richer programs --------------------------- *)
 
-let behaviors_agree name pre post =
-  let eager = Yat.Eager.check ~pre ~post () in
-  let lazy_b = Yat.Eager.jaaru_behaviors ~pre ~post () in
+let behaviors_agree ?config name pre post =
+  let eager = Yat.Eager.check ?config ~pre ~post () in
+  let lazy_b = Yat.Eager.jaaru_behaviors ?config ~pre ~post () in
   Alcotest.(check bool) (name ^ ": not truncated") false eager.Yat.Eager.truncated;
   Alcotest.(check (list string)) (name ^ ": behaviors") eager.Yat.Eager.behaviors lazy_b
 
@@ -116,6 +116,25 @@ let equiv_same_line_interleave () =
         (Ctx.load64 ctx ~label:"rx" base)
         (Ctx.load64 ctx ~label:"ry" (base + 8)))
 
+(* Under Buffered eviction a crash keeps a prefix of the store buffer: the
+   store to y survives only with the sfence before it, which publishes the
+   clflushopt of x, so recovery never sees y without x. *)
+let equiv_buffered_sfence_publishes () =
+  let config = { Config.default with Config.evict_policy = Config.Buffered } in
+  let pre ctx =
+    Ctx.store64 ctx ~label:"x" base 5;
+    Ctx.clflushopt ctx ~label:"opt x" base 8;
+    Ctx.sfence ctx ~label:"sf" ();
+    Ctx.store64 ctx ~label:"y" (base + 64) 7
+  in
+  let post ctx =
+    Printf.sprintf "x=%d y=%d" (Ctx.load64 ctx ~label:"rx" base)
+      (Ctx.load64 ctx ~label:"ry" (base + 64))
+  in
+  behaviors_agree ~config "buffered sfence" pre post;
+  Alcotest.(check (list string)) "no y without x" [ "x=0 y=0"; "x=5 y=0"; "x=5 y=7" ]
+    (Yat.Eager.check ~config ~pre ~post ()).Yat.Eager.behaviors
+
 let pp_count_small () =
   let s = Format.asprintf "%a" Yat.State_count.pp_count (log10 42.) in
   Alcotest.(check string) "small" "42" s
@@ -142,5 +161,6 @@ let () =
           Alcotest.test_case "clflushopt + sfence" `Quick equiv_clflushopt_sfence;
           Alcotest.test_case "mixed sizes" `Quick equiv_mixed_sizes;
           Alcotest.test_case "same line interleave" `Quick equiv_same_line_interleave;
+          Alcotest.test_case "buffered sfence publishes" `Quick equiv_buffered_sfence_publishes;
         ] );
     ]
