@@ -662,8 +662,8 @@ let ablation_multi_failure () =
       Format.printf "%-14d %12d %11.2fs@." depth o.Explorer.stats.Stats.executions dt)
     [ 0; 1; 2 ]
 
-(* Eviction-policy cost: the Buffered policy adds drain decisions at every
-   injected failure. *)
+(* Eviction-policy cost: under the Buffered policy recovery reads also
+   decide which of a crash's buffered entries survived. *)
 let ablation_evict_policy () =
   section_header "Ablation: eviction policy (eager vs buffered store buffers)";
   Format.printf "%-10s %12s %14s@." "policy" "executions" "rf decisions";

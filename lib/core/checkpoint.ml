@@ -212,7 +212,7 @@ let fingerprint ~workload (c : Config.t) =
   Wire.option Wire.float b c.step_deadline;
   Printf.sprintf "%08x" (Wire.crc b)
 
-let magic = "jaaru-checkpoint-v4"
+let magic = "jaaru-checkpoint-v5"
 
 let make ~fingerprint ~frontier ~bugs ~multi_rf ~findings ~stats =
   { fingerprint; frontier; bugs; multi_rf; findings; stats }

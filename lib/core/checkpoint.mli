@@ -15,13 +15,15 @@
 
     {2 File format}
 
-    A magic line ["jaaru-checkpoint-v4"], a CRC-32 line (8 hex digits) of the
+    A magic line ["jaaru-checkpoint-v5"], a CRC-32 line (8 hex digits) of the
     payload, then the {!Pmem.Wire} encoding of {!t} — a hand-rolled
     structural format with an explicit per-field codec instead of a
     [Marshal] image. Findings are stored as pass findings whatever the
     report switches (v3 stored the redundant pass a second time, as perf
     reports); the statistics omit [multi_rf_loads] and [findings], which
-    count the stored lists and read back as 0. Saves are atomic
+    count the stored lists and read back as 0. Frontier prefixes hold
+    {!Choice.Cut} cells where v4's held the crash-time drain decisions of
+    a search that no longer exists. Saves are atomic
     (write-temp-then-rename), so a crash mid-save leaves the previous
     checkpoint intact; a save that fails before the rename removes its temp
     file. Checkpoints are single-version: a format change bumps the magic

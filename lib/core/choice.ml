@@ -1,4 +1,4 @@
-type kind = Failure_point | Read_from | Drain
+type kind = Failure_point | Read_from | Cut
 
 exception Divergence of string
 
@@ -15,7 +15,7 @@ type t = {
   created : int array;  (* cumulative fresh decisions, indexed by kind *)
 }
 
-let kind_index = function Failure_point -> 0 | Read_from -> 1 | Drain -> 2
+let kind_index = function Failure_point -> 0 | Read_from -> 1 | Cut -> 2
 
 let create () = { cells = [||]; len = 0; cursor = 0; base = 0; created = Array.make 3 0 }
 let begin_replay t = t.cursor <- 0
@@ -141,12 +141,12 @@ let prefix_of_cells ~frozen cells =
     invalid_arg "Choice.prefix_of_cells: frozen out of range";
   { pfx; frozen }
 
-let kind_char = function Failure_point -> 'F' | Read_from -> 'R' | Drain -> 'D'
+let kind_char = function Failure_point -> 'F' | Read_from -> 'R' | Cut -> 'C'
 
 let kind_of_char = function
   | 'F' -> Some Failure_point
   | 'R' -> Some Read_from
-  | 'D' -> Some Drain
+  | 'C' -> Some Cut
   | _ -> None
 
 let encode_prefix p =

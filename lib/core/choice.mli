@@ -4,14 +4,16 @@
     recorded list of decisions (stateless-model-checking replay — the
     substitute for the paper's fork-based rollback). Each nondeterministic
     point in an execution — inject a failure or not, which store a load reads
-    from, how much of the store buffer drains at a crash — consults this
+    from, which of a crash's pending store-buffer entries survived — consults this
     stack: decisions inside the recorded prefix are replayed, fresh ones
     default to alternative 0 and are recorded. After each replay, {!advance}
     flips the deepest unexhausted decision, depth-first, until the whole tree
     has been visited. *)
 
-type kind = Failure_point | Read_from | Drain
-(** What a decision was about — kept for statistics and debug output. *)
+type kind = Failure_point | Read_from | Cut
+(** What a decision was about — kept for statistics and debug output.
+    [Cut] splits a buffered crash's pending store-buffer cut where a
+    recovery read depends on it ({!Exec.Exec_record.resolve}). *)
 
 exception Divergence of string
 (** A replayed decision saw a different shape than when it was recorded —
@@ -110,11 +112,13 @@ val prefix_of_cells : frozen:int -> (kind * int * int * int) list -> prefix
     satisfies [0 <= chosen < limit <= num] and [0 <= frozen <= length]. *)
 
 val encode_prefix : prefix -> string
-(** A compact printable encoding, e.g. ["2;F2:0:1;R3:1:2;D4:2:4"] — suitable
+(** A compact printable encoding, e.g. ["2;F2:0:1;R3:1:2;C4:2:4"] — suitable
     for handing subtree tasks to another process. *)
 
 val decode_prefix : string -> prefix option
-(** Inverse of {!encode_prefix}; [None] on malformed or invalid input. *)
+(** Inverse of {!encode_prefix}; [None] on malformed or invalid input,
+    including a cell of a kind this version does not make (the [D] cells
+    of the crash-time drain decision older versions made). *)
 
 val resume_from_prefix : prefix -> t
 (** A fresh searcher over the subtree the prefix describes. Replays the

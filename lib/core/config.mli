@@ -6,9 +6,10 @@ type evict_policy =
           cheap; the store buffer is architecturally invisible to a single
           thread, so this is the default for crash-consistency checking. *)
   | Buffered
-      (** Entries drain only at mfence / locked-RMW / execution end, plus a
-          nondeterministic partial drain at each injected failure — exercising
-          crashes that lose buffered stores, flushes and fences. *)
+      (** Entries drain only at mfence / locked-RMW / execution end; an
+          injected failure keeps an unknown prefix of each thread's buffer —
+          exercising crashes that lose buffered stores, flushes and fences.
+          Recovery reads decide the prefix where they depend on it. *)
 
 type t = {
   max_failures : int;

@@ -41,6 +41,7 @@ type t = {
       (* watchdog flag: set by the monitor when this execution blows its
          wall-clock deadline, observed (and consumed) at the next [step] *)
   span : int array;  (* a load's bytes while [read] resolves them *)
+  cut : int -> int;  (* a [Choice.Cut] decision, for [Read_from] *)
 }
 
 let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
@@ -119,6 +120,7 @@ let create ?snapshots ?cancel ?trace_labels ?trace_ring ~config ~choice () =
     snapshots;
     cancel;
     span = Array.make Pmem.Bytes_le.max_width (-1);
+    cut = (fun n -> Choice.choose choice Choice.Cut n);
   }
 
 let set_failure_point_hook ctx hook = ctx.fp_hook <- Some hook
@@ -178,19 +180,48 @@ let eager ctx = ctx.cfg.Config.evict_policy = Config.Eager
 
 (* --- failure injection ------------------------------------------------- *)
 
-(* Buffered policy only: at a crash, a nondeterministic prefix of each store
-   buffer may already have drained to the cache. *)
-let drain_choices ctx =
-  List.iter
-    (fun th ->
-      let n = Tso.Store_buffer.length (Tso.Thread_state.store_buffer th) in
-      if n > 0 then begin
-        let keep = Choice.choose ctx.choice Choice.Drain (n + 1) in
-        for _ = 1 to keep do
-          ignore (Tso.Thread_state.evict_one th ctx.sink)
-        done
-      end)
-    ctx.threads
+(* Buffered policy only: a crash keeps an unknown prefix of each store
+   buffer. No prefix is chosen here. Every buffer drains in full into the
+   crashed record, in thread order, with the seqs a full drain gives; the
+   record's tail notes which thread and entry each seq belongs to, and
+   holds back the flush raises (a clflush, or the clflushopts an sfence
+   publishes), which count only if the cut passes their entry. Recovery
+   reads then decide the cut where they depend on it ([Read_from]'s
+   [cut]). *)
+let drain_pending ctx =
+  let busy th = not (Tso.Store_buffer.is_empty (Tso.Thread_state.store_buffer th)) in
+  if List.exists busy ctx.threads then begin
+    let record = Exec.Exec_stack.top ctx.stack in
+    let tail = Exec.Tail.builder ~first:(!(ctx.seq) + 1) in
+    let thread = ref 0 and index = ref 0 in
+    let sink =
+      {
+        Tso.Sink.next_seq =
+          (fun () ->
+            Exec.Tail.add_seq tail ~thread:!thread ~index:!index;
+            incr ctx.seq;
+            !(ctx.seq));
+        cur_seq = (fun () -> !(ctx.seq));
+        push_store =
+          (fun addr ~value ~seq ~label -> Exec.Exec_record.push_store record addr ~value ~seq ~label);
+        flush_line =
+          (fun addr ~seq -> Exec.Tail.add_flush tail ~thread:!thread ~index:!index addr ~bound:seq);
+      }
+    in
+    let lengths =
+      Array.of_list
+        (List.mapi
+           (fun t th ->
+             thread := t;
+             index := 0;
+             while Tso.Thread_state.evict_one th sink do
+               incr index
+             done;
+             !index)
+           ctx.threads)
+    in
+    Exec.Exec_record.set_tail record (Exec.Tail.finish tail ~lengths)
+  end
 
 (* Capture-at-consideration: the snapshot is taken at every failure point the
    search considers — before the fail/continue decision — not only when the
@@ -223,7 +254,7 @@ let failure_point ?(force = false) ctx label =
     match Choice.choose ctx.choice Choice.Failure_point 2 with
     | 0 -> ()
     | _ ->
-        if not (eager ctx) then drain_choices ctx;
+        if not (eager ctx) then drain_pending ctx;
         if ctx.events_on then
           emit ctx (Analysis.Event.Crash { label = Some label; tid = tid ctx });
         ctx.failure_count <- ctx.failure_count + 1;
@@ -246,7 +277,7 @@ let after_crash ctx =
 
 let crash ctx =
   capture_snapshot ctx ~crash_label:None ~pending_failure:false;
-  if not (eager ctx) then drain_choices ctx;
+  if not (eager ctx) then drain_pending ctx;
   if ctx.events_on then emit ctx (Analysis.Event.Crash { label = None; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1;
   raise Power_failure
@@ -255,9 +286,9 @@ let crash ctx =
    state the matching replay would have at the captured crash — restored
    execution stack, sequence counter, thread buffers and trace ring, cursor
    fast-forwarded past the snapshot's decisions — then take the crash the way
-   [failure_point] / [crash] would, with the buffered-drain prefix still a
-   live [Choice.Drain] decision on the restored buffers. The caller runs
-   recovery next; it never re-executes the pre-failure program. *)
+   [failure_point] / [crash] would, draining the restored buffers into a
+   pending tail. The caller runs recovery next; it never re-executes the
+   pre-failure program. *)
 let resume_from_snapshot ctx (snap : Snapshot.t) =
   Choice.fast_forward ctx.choice (Array.length snap.Snapshot.key);
   let records, threads = Snapshot.materialize ~deep_top:(not (eager ctx)) snap in
@@ -270,7 +301,7 @@ let resume_from_snapshot ctx (snap : Snapshot.t) =
   ctx.fp_count <- snap.Snapshot.fp_count;
   ctx.rng <- snap.Snapshot.rng;
   ctx.last <- snap.Snapshot.last;
-  if not (eager ctx) then drain_choices ctx;
+  if not (eager ctx) then drain_pending ctx;
   if ctx.events_on then
     emit ctx (Analysis.Event.Crash { label = snap.Snapshot.crash_label; tid = tid ctx });
   ctx.failure_count <- ctx.failure_count + 1
@@ -346,7 +377,7 @@ let mfence ctx ?(label = "mfence") () =
    consume a [Choice.Read_from] decision and commit to the chosen store,
    refining the line intervals of the records it passes. *)
 let read_byte_slow ctx addr label =
-  let candidates = Exec.Read_from.build_may_read_from ctx.stack addr in
+  let candidates = Exec.Read_from.build_may_read_from ~cut:ctx.cut ctx.stack addr in
   let src =
     match candidates with
     | [] -> assert false (* the initial image backstops the recursion *)

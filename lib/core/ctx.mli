@@ -74,8 +74,8 @@ val resume_from_snapshot : t -> Snapshot.t -> unit
 (** Puts a freshly created context into the exact post-crash state of the
     snapshot: restored execution stack, sequence counter, thread buffers and
     trace ring, decision cursor fast-forwarded past the snapshot's key, the
-    buffered-drain decisions replayed live on the restored buffers, and the
-    crash event emitted. The caller then runs recovery exactly as if the
+    restored store buffers drained into the crashed record's pending tail
+    (buffered eviction), and the crash event emitted. The caller then runs recovery exactly as if the
     pre-failure program had been re-executed. The context's recorded
     decisions must begin with the snapshot's key
     ({!Snapshot.find} guarantees it). *)

@@ -79,7 +79,7 @@ let capture ~key ~stack ~seq ~threads ~trace ~failure_count ~fp_count ~rng ~last
 (* Per-restore copies: views of the master's views (fresh line intervals,
    still-shared queues). Under buffered eviction the top must instead be a
    private truncated copy ([deep_top]) — the drain at the restored crash
-   pushes the surviving store-buffer entries into it. *)
+   pushes every buffered store into it. *)
 let materialize ~deep_top snap =
   let stack =
     List.mapi

@@ -13,9 +13,9 @@
     the choice cursor past the key and resumes at the crash.
 
     Outcomes are byte-identical with snapshots on or off: the state restored
-    is exactly the state a full replay would recompute, buffered-drain
-    nondeterminism stays a live {!Choice.Drain} decision replayed on the
-    restored threads, and the pre-failure reports a skipped replay would
+    is exactly the state a full replay would recompute, the restored
+    threads' buffers drain into a pending tail as at the original crash
+    (the recovery's reads decide its cut), and the pre-failure reports a skipped replay would
     have produced are contributed by the (always-executed) first full replay
     of that decision path, then deduplicated by the explorer's merge.
 

@@ -14,6 +14,9 @@ type t = {
   own_bound : int;
   writable_view : bool;
   lines : Pmem.Line_table.t;
+  mutable tail : Tail.t;
+      (* What a buffered crash drained into this record, pending its cut;
+         [Tail.none] on every other record. *)
   mutable last_seq : int;  (* seq of the newest store pushed, 0 if none *)
   mutable store_count : int;
   mutable flush_count : int;
@@ -34,6 +37,7 @@ let create ~id =
     own_bound = max_int;
     writable_view = false;
     lines = Pmem.Line_table.create ();
+    tail = Tail.none;
     last_seq = 0;
     store_count = 0;
     flush_count = 0;
@@ -130,10 +134,47 @@ let last_store_byte e addr =
   let n = visible_length e addr q in
   if n = 0 then -1 else Store_queue.value_at q (n - 1)
 
+(* --- the crash-drained tail ---------------------------------------------- *)
+
+let set_tail e t = e.tail <- t
+
+(* Entry [i] of the byte's visible history [q] was cut off by the crash.
+   Only entries the crash drained can be; the rest never are. *)
+let hidden e q i = e.tail != Tail.none && Tail.dropped e.tail (Store_queue.seq_at q i)
+
+let rec first_shown e q i n = if i >= n || not (hidden e q i) then i else first_shown e q (i + 1) n
+
+let first_store_seq e addr q =
+  let n = visible_length e addr q in
+  let i = first_shown e q 0 n in
+  if i >= n then -1 else Store_queue.seq_at q i
+
+let settled e addr q n =
+  e.tail == Tail.none
+  || (not (Tail.drained e.tail (Store_queue.seq_at q (n - 1))))
+     && not (Tail.line_pending e.tail (Pmem.Addr.line_of addr))
+
+let resolve e addr ~choose =
+  let t = e.tail in
+  if t != Tail.none then begin
+    let q = store_queue e addr in
+    let n = visible_length e addr q in
+    let raise line bound = raise_line_lo e (line * Pmem.Addr.cache_line_size) ~seq:bound in
+    let split_all points =
+      Array.iteri (fun thread points -> Tail.split t ~thread ~points ~choose ~raise) points
+    in
+    let drained = ref [] in
+    for i = n - 1 downto Store_queue.count_le q (Tail.first t - 1) do
+      drained := Store_queue.seq_at q i :: !drained
+    done;
+    if !drained <> [] then split_all (Tail.pending_points t !drained);
+    if first_shown e q 0 n < n then split_all (Tail.line_points t (Pmem.Addr.line_of addr))
+  end
+
 let next_store_seq_after e addr s =
   let q = store_queue e addr in
   let n = visible_length e addr q in
-  let i = Store_queue.count_le q s in
+  let i = first_shown e q (Store_queue.count_le q s) n in
   if i >= n then Pmem.Interval.infinity else Store_queue.seq_at q i
 
 let flush_line e addr ~seq =
@@ -156,11 +197,12 @@ let snapshot_view ?bound e =
     own_bound = bounded e.own_bound;
     writable_view = false;
     lines = Pmem.Line_table.copy e.lines;
+    tail = Tail.copy e.tail;
   }
 
 (* A view that accepts stores again, for a restored top record under
-   buffered eviction, where the drain at the crash pushes the surviving
-   buffer entries into it. Copy-on-write per address: the shared histories
+   buffered eviction, where the drain at the crash pushes every buffered
+   store into it. Copy-on-write per address: the shared histories
    stay shared, bounded at the newest store the source can see, and a store
    goes to a private overlay copy of its address's visible history. A
    restore therefore copies only the histories the drain touches, never the
@@ -179,6 +221,7 @@ let snapshot_freeze e =
     own_bound = max_int;
     writable_view = true;
     lines = Pmem.Line_table.copy e.lines;
+    tail = Tail.copy e.tail;
   }
 
 let store_count e = e.store_count

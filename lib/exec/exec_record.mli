@@ -101,7 +101,45 @@ val last_store_byte : t -> Pmem.Addr.t -> int
 val next_store_seq_after : t -> Pmem.Addr.t -> int -> int
 (** The sequence number of the oldest visible store of [addr] strictly newer
     than the given seq, or {!Pmem.Interval.infinity} — the paper's "next
-    tuple" bound used to refine interval upper ends. *)
+    tuple" bound used to refine interval upper ends. Skips stores the crash
+    cut off ({!hidden}). *)
+
+(** {1 The crash-drained tail}
+
+    Under buffered eviction a crash pushes every buffered store into the
+    crashed record, with the seqs a full drain gives, and records the
+    drain as a {!Tail.t}: which seqs belong to which thread's buffer, each
+    thread's cut interval, and the flush raises that hold only if the cut
+    passes them. Recovery reads decide the cut as they need it
+    ({!resolve}); the accessors above, except {!next_store_seq_after},
+    still see every drained store. *)
+
+val set_tail : t -> Tail.t -> unit
+(** Attaches the crash's drain. Views ({!snapshot_view}, {!snapshot_freeze})
+    copy the cut intervals. *)
+
+val resolve : t -> Pmem.Addr.t -> choose:(int -> int) -> unit
+(** Decides what a read of the byte in this record depends on: first
+    whether each of its crash-drained stores survived, then, if some store
+    of the byte survives, whether each pending flush raise on its line took
+    effect. Each thread with pending entries among them splits its cut
+    interval with one [choose n] decision over [n] alternatives; flush
+    raises the narrowed cut makes certain are applied to the line. A no-op
+    on records without a tail. *)
+
+val settled : t -> Pmem.Addr.t -> Store_queue.t -> int -> bool
+(** [settled t addr q n], with [q] the byte's history and [n > 0] its
+    visible length, holds when the byte has no crash-drained store and its
+    line no pending flush raise: its reads need neither {!resolve} nor
+    {!hidden}. One physical compare on records without a tail. *)
+
+val hidden : t -> Store_queue.t -> int -> bool
+(** [hidden t q i]: entry [i] of the byte history [q] is a drained store
+    the crash's cut dropped. Meaningful once {!resolve} ran for the byte. *)
+
+val first_store_seq : t -> Pmem.Addr.t -> Store_queue.t -> int
+(** The seq of the oldest store of the byte that is visible and not
+    {!hidden}, or [-1]. [q] is [store_queue t addr]. *)
 
 (** {1 Snapshot copies}
 
@@ -122,7 +160,7 @@ val snapshot_freeze : t -> t
 (** A writable view: same [id], the stores visible in the given record now,
     duplicated line intervals, and it accepts new stores — needed for a
     restored top record under buffered eviction, where the drain at the
-    crash pushes the surviving buffer entries into it. The store histories
+    crash pushes every buffered store into it. The store histories
     stay shared; the first store to an address after the freeze gives that
     address a private copy of its visible history, so the original and
     other views never see the new stores, nor the freeze later stores to

@@ -26,14 +26,17 @@ let initial_source exec =
    store predates lo, the flush (if any) wrote a value inherited from an older
    execution, so the search continues below. The visible history is indexed
    directly (seqs strictly increase, so the window is a contiguous index
-   range) instead of folding boxed entries. *)
-let rec read_pre_failure stack e addr =
+   range) instead of folding boxed entries. A record a buffered crash
+   drained into first has [cut] decide what the byte depends on; if the
+   byte has drained stores, those the cut dropped are skipped. *)
+let rec read_pre_failure ~cut stack e addr =
   if Exec_record.is_initial e then [ initial_source e ]
-  else
+  else begin
+    Exec_record.resolve e addr ~choose:cut;
     let q = Exec_record.store_queue e addr in
     let n = Exec_record.visible_length e addr q in
-    if n = 0 then read_pre_failure stack (Exec_stack.prev stack e) addr
-    else
+    if n = 0 then read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
+    else if Exec_record.settled e addr q n then begin
       (* Newest index with seq <= lo, or -1; the window (lo, hi) is the
          index range (idx_le_lo, first index with seq >= hi). *)
       let idx_le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) - 1 in
@@ -44,9 +47,26 @@ let rec read_pre_failure stack e addr =
       for i = idx_le_lo + 1 to below_hi - 1 do
         wins := source_of_idx e q i :: !wins
       done;
-      let wins = !wins in
-      if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
-      else wins @ read_pre_failure stack (Exec_stack.prev stack e) addr
+      below ~cut stack e addr q !wins idx_le_lo
+    end
+    else if Exec_record.first_store_seq e addr q < 0 then
+      read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
+    else begin
+      let lo = Exec_record.line_lo e addr and hi = Exec_record.line_hi e addr in
+      let wins = ref [] and idx_le_lo = ref (-1) in
+      for i = 0 to n - 1 do
+        if not (Exec_record.hidden e q i) then begin
+          let s = Store_queue.seq_at q i in
+          if s <= lo then idx_le_lo := i else if s < hi then wins := source_of_idx e q i :: !wins
+        end
+      done;
+      below ~cut stack e addr q !wins !idx_le_lo
+    end
+  end
+
+and below ~cut stack e addr q wins idx_le_lo =
+  if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
+  else wins @ read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
 
 (* The same walk as [read_pre_failure], counting instead of collecting,
    for every unknown byte of one load at once. A byte's candidate list has
@@ -61,7 +81,8 @@ let rec read_pre_failure stack e addr =
 
    [span_record] visits one record for the unknown bytes below [limit], in
    byte order, and returns the new limit: the first byte with a non-empty
-   window, or [limit]. Bytes at or past that byte are not walked further:
+   window, or whose read would depend on a crash's pending cut (it is not
+   {!Exec_record.settled}), or [limit]. Bytes at or past that byte are not walked further:
    the caller reads them one by one after its refinement, which changes
    only this record and older ones. So the walk inserts a line entry only
    where the byte-by-byte loads would too. The bounds are looked up once
@@ -74,7 +95,8 @@ let span_record e addr out limit =
     if out.(!i) < 0 then begin
       let q = Exec_record.store_queue e a in
       let n = Exec_record.visible_length e a q in
-      if n > 0 then begin
+      if n > 0 && not (Exec_record.settled e a q n) then limit := !i
+      else if n > 0 then begin
         if Pmem.Addr.line_of a <> !line then begin
           let slot = Exec_record.line_slot e a in
           lo := Exec_record.slot_lo e slot;
@@ -115,7 +137,9 @@ let read_single_span stack addr ~width out =
   done;
   if !unknown then span_pre_failure stack (Exec_stack.prev stack top) addr out width else width
 
-let build_may_read_from ?sb_value stack addr =
+let no_cut _ = invalid_arg "Read_from: a crash's cut is pending and no decision was given"
+
+let build_may_read_from ?sb_value ?(cut = no_cut) stack addr =
   match sb_value with
   | Some (value, label) -> [ source_from_current stack ~value ~label ]
   | None -> (
@@ -132,15 +156,14 @@ let build_may_read_from ?sb_value stack addr =
               label = Store_queue.label_at q (n - 1);
             };
           ]
-      | None -> read_pre_failure stack (Exec_stack.prev stack top) addr)
+      | None -> read_pre_failure ~cut stack (Exec_stack.prev stack top) addr)
 
 (* UpdateRanges (Fig. 10). Walk down from the execution just below the current
    one to the source's execution, refining each line interval in place. *)
 let rec update_ranges stack ec addr src =
   if Exec_record.id ec <> Exec_record.id src.exec then begin
-    let q = Exec_record.store_queue ec addr in
-    if Exec_record.visible_length ec addr q > 0 then
-      Exec_record.lower_line_hi ec addr ~seq:(Store_queue.seq_at q 0);
+    let first = Exec_record.first_store_seq ec addr (Exec_record.store_queue ec addr) in
+    if first >= 0 then Exec_record.lower_line_hi ec addr ~seq:first;
     update_ranges stack (Exec_stack.prev stack ec) addr src
   end
   else if Exec_record.is_initial ec then ()

@@ -19,7 +19,7 @@ val source_from_current : Exec_stack.t -> value:int -> label:string -> source
     constraint applies (the paper's [⟨top(exec), _, val⟩] tuples). *)
 
 val build_may_read_from :
-  ?sb_value:int * string -> Exec_stack.t -> Pmem.Addr.t -> source list
+  ?sb_value:int * string -> ?cut:(int -> int) -> Exec_stack.t -> Pmem.Addr.t -> source list
 (** All stores the byte load may read from, newest candidates first.
 
     [sb_value], when given, is the value and label of the newest store to the
@@ -27,7 +27,14 @@ val build_may_read_from :
     bypass wins outright (Fig. 9 lines 2–3). Otherwise the newest cache store
     of the current execution wins (lines 4–5); otherwise candidates come from
     pre-failure executions via [ReadPreFailure] (lines 7–13). The result is
-    never empty: the initial all-zero image backstops the recursion. *)
+    never empty: the initial all-zero image backstops the recursion.
+
+    Each pre-failure record the walk visits first runs
+    {!Exec_record.resolve} with [cut] as the decision: a buffered crash's
+    pending store-buffer cut is split where this byte depends on it, and
+    the drained stores the cut dropped are skipped. [cut n] picks one of
+    [n] alternatives; without it, a record with a pending cut raises
+    [Invalid_argument]. *)
 
 val read_single_span : Exec_stack.t -> Pmem.Addr.t -> width:int -> int array -> int
 (** The allocation-free common case of a [width]-byte load, in one walk of
@@ -35,7 +42,8 @@ val read_single_span : Exec_stack.t -> Pmem.Addr.t -> width:int -> int array -> 
     already known (forwarded from the store buffer) and negative for the
     rest. The result [k] is the first byte whose
     [build_may_read_from stack (addr + k)] would return several candidates,
-    or [width] if there is none; on return [out.(i)], for every [i < k], is
+    or [width] if there is none (a byte whose read depends on a crash's
+    pending cut counts as several); on return [out.(i)], for every [i < k], is
     the byte value of the lone candidate (or the known byte). Bytes from [k]
     on are left unspecified: committing byte [k] to a source refines the
     line intervals they read, so the caller reads them one by one after it.
@@ -46,7 +54,8 @@ val read_single_span : Exec_stack.t -> Pmem.Addr.t -> width:int -> int array -> 
 val do_read : Exec_stack.t -> Pmem.Addr.t -> source -> unit
 (** Commits the load to one source and refines last-writeback intervals of
     previous executions (Fig. 10): each failed execution newer than the
-    source must not have flushed the line after its first store to the byte,
+    source must not have flushed the line after its first surviving store
+    to the byte,
     and the source execution's line must have been written back within
     [(seq, next-store-seq)). *)
 

@@ -120,7 +120,8 @@ let test_checkpoint_corruption () =
       | exception Checkpoint.Rejected _ -> ());
       (* Not a checkpoint at all, and a valid image behind an earlier
          format's magic line (v2 encoded three more stats counters, v3 a
-         perf-report list and two derived counters): all are refused,
+         perf-report list and two derived counters, v4 frontiers whose
+         prefixes may hold crash-time drain decisions): all are refused,
          never misread. *)
       let body = String.sub data (String.index data '\n') (String.length data - String.index data '\n') in
       List.iter
@@ -129,7 +130,12 @@ let test_checkpoint_corruption () =
           match Checkpoint.load path with
           | _ -> Alcotest.fail "bad magic must be rejected"
           | exception Checkpoint.Rejected _ -> ())
-        [ "not a checkpoint"; "jaaru-checkpoint-v2" ^ body; "jaaru-checkpoint-v3" ^ body ])
+        [
+          "not a checkpoint";
+          "jaaru-checkpoint-v2" ^ body;
+          "jaaru-checkpoint-v3" ^ body;
+          "jaaru-checkpoint-v4" ^ body;
+        ])
 
 (* A save that dies mid-write (full disk, kill) must neither corrupt the
    existing checkpoint nor leave its .tmp sibling behind. *)

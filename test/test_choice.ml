@@ -178,7 +178,7 @@ let test_prefix_roundtrip () =
     [
       (Choice.Failure_point, 2, 0, 1);
       (Choice.Read_from, 5, 1, 2);
-      (Choice.Drain, 4, 2, 4);
+      (Choice.Cut, 4, 2, 4);
     ]
   in
   let p = Choice.prefix_of_cells ~frozen:2 cells in
@@ -195,6 +195,14 @@ let test_prefix_roundtrip () =
   List.iter
     (fun s -> Alcotest.(check bool) s true (Choice.decode_prefix s = None))
     [ ""; "x"; "1;R2:0"; "1;Q2:0:2"; "9;R2:0:2"; "0;R2:2:2"; "0;R2:0:3"; "-1;R2:0:2" ]
+
+(* Older versions made a crash-time drain decision, encoded as a D cell. It
+   has no meaning to this version's search, so a checkpoint frontier or a
+   fleet frame that carries one is refused rather than misread. *)
+let test_prefix_refuses_drain_cells () =
+  Alcotest.(check bool) "valid without the D cell" true
+    (Choice.decode_prefix "1;F2:1:2;C3:0:3" <> None);
+  Alcotest.(check bool) "D cell refused" true (Choice.decode_prefix "1;F2:1:2;D3:0:3" = None)
 
 let test_split_resumes_where_donated () =
   (* A split prefix must survive serialization and resume into exactly the
@@ -283,6 +291,7 @@ let () =
           Alcotest.test_case "split partitions the tree" `Quick test_split_partitions_the_tree;
           Alcotest.test_case "split on a dependent tree" `Quick test_split_dependent_tree;
           Alcotest.test_case "encode/decode roundtrip" `Quick test_prefix_roundtrip;
+          Alcotest.test_case "drain cells refused" `Quick test_prefix_refuses_drain_cells;
           Alcotest.test_case "split resumes where donated" `Quick test_split_resumes_where_donated;
           QCheck_alcotest.to_alcotest prop_split_partitions;
         ] );

@@ -237,9 +237,9 @@ let test_buffered_store_lost_at_crash () =
   in
   Alcotest.(check (list string)) "eager policy sees both" [ "x=0"; "x=7" ]
     (behaviors Config.Eager);
-  (* Buffered: the drain choice at the crash explores both 0-drained and
-     1-drained prefixes, so both behaviours appear here too — but through
-     the Drain decision, not the writeback interval. *)
+  (* Buffered: the recovery read splits the crash's pending store-buffer
+     cut at the buffered store — dropped or kept — so both behaviours appear
+     here too, but through the Cut decision, not the writeback interval. *)
   Alcotest.(check (list string)) "buffered sees both via drain choice" [ "x=0"; "x=7" ]
     (behaviors Config.Buffered)
 
@@ -368,6 +368,27 @@ let test_mixed_load_allocates_nothing () =
     (Ctx.load64 ctx ~label:"r" base);
   Alcotest.(check (float 0.)) "minor words over the loads" 0.
     (minor_words_over 10_000 (fun _ -> Ctx.load64 ctx ~label:"r" base))
+
+(* A buffered crash with entries still in the store buffer on line A leaves
+   the crashed record a pending cut. A recovery load from line B, which no
+   pending entry touches, takes the allocation-free path and decides
+   nothing. *)
+let test_load_beside_pending_cut_allocates_nothing () =
+  let choice = Choice.create () in
+  let ctx = Ctx.create ~config:buffered ~choice () in
+  Ctx.store64 ctx ~label:"b" (base + 64) 0x0102030405060708;
+  Ctx.clflush ctx ~label:"fl b" (base + 64) 8;
+  Ctx.mfence ctx ();
+  Ctx.store64 ctx ~label:"a" base 7;
+  Ctx.clflush ctx ~label:"fl a" base 8;
+  (try Ctx.crash ctx with Ctx.Power_failure -> ());
+  Ctx.after_crash ctx;
+  let decisions = Choice.depth choice in
+  Alcotest.(check int) "line B as persisted" 0x0102030405060708
+    (Ctx.load64 ctx ~label:"r" (base + 64));
+  Alcotest.(check (float 0.)) "minor words over the loads" 0.
+    (minor_words_over 10_000 (fun _ -> Ctx.load64 ctx ~label:"r" (base + 64)));
+  Alcotest.(check int) "no decision taken" decisions (Choice.depth choice)
 
 (* A store wider than a word is refused where it is issued. Under
    [Buffered] it would otherwise wait in the store buffer, and forwarding
@@ -592,6 +613,8 @@ let () =
             test_forwarded_load_allocates_nothing;
           Alcotest.test_case "forwarded + recovered load allocates nothing" `Quick
             test_mixed_load_allocates_nothing;
+          Alcotest.test_case "load beside a pending cut allocates nothing" `Quick
+            test_load_beside_pending_cut_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_span_load_matches_byte_loop;
         ] );
       ( "misc",

@@ -1,5 +1,5 @@
 (* [golden] prints the report ([Explorer.pp_report]) of every case `jaaru
-   list` prints, at its own config on one domain, plus two deeper runs; dune
+   list` prints, at its own config on one domain, plus three deeper runs; dune
    diffs it against golden_reports.expected, pinning report bytes across
    commits. [matrix GROUP] runs every case of the group under each row of
    [settings] it applies to and requires the reference report: a row that
@@ -30,7 +30,7 @@ let pmdk_mf2 =
   scenario "pmdk-1 max_failures=2 exhaustive" pmdk1.scenario
     { (exhaustive pmdk1.config) with Config.max_failures = 2 }
 
-(* The cases in `jaaru list` order, then two deeper runs. *)
+(* The cases in `jaaru list` order, then three deeper runs. *)
 let golden =
   let open Pmdk.Workloads in
   List.map (fun c -> scenario c.id c.scenario c.config)
@@ -41,10 +41,15 @@ let golden =
   @ [
       pmdk_mf2;
       (* Two writer threads under buffered eviction with every analysis pass
-         on: schedule and drain choices branch, and distinct crash points
+         on: store-buffer cut decisions branch, and distinct crash points
          persist identical states. *)
       (let c = Recipe.Workloads.(find (concurrent_cases ()) "P-CLHT-concurrent") in
        scenario "P-CLHT-concurrent buffered analyze" c.scenario (buffered (analyzed c.config)));
+      (* Nested buffered crashes: pins the size of the search over the
+         crashes' store-buffer cuts. *)
+      (let c = Recipe.Workloads.(find (concurrent_cases ()) "P-CLHT-concurrent") in
+       scenario "P-CLHT-concurrent max_failures=2" c.scenario
+         { c.config with Config.max_failures = 2 });
     ]
 
 (* A long pre-failure program and a one-load recovery, the shape where

@@ -127,8 +127,8 @@ let prop_eager_equals_lazy_threaded =
   QCheck.Test.make ~name:"eager = lazy with a second thread" ~count:500 threaded_arb
     (fun prog -> eager_equals_lazy (fun ctx -> run_threaded ctx prog))
 
-(* The same property under the Buffered eviction policy, where the store
-   buffer and flush buffer add drain nondeterminism. Lazy exploration must
+(* The same property under the Buffered eviction policy, where a crash
+   keeps an unknown prefix of each store buffer. Lazy exploration must
    produce a SUPERSET of the eager-policy behaviours (it adds states where
    buffered stores were lost) and every behaviour it produces must be a
    prefix-consistent cut; here we check a cheaper invariant: the set of

@@ -40,7 +40,7 @@ let test_choice_consumed_and_matches () =
     "longer than the record rejected" false
     (Choice.recorded_matches c
        [|
-         (Choice.Failure_point, 2, 0); (Choice.Read_from, 3, 1); (Choice.Drain, 2, 0);
+         (Choice.Failure_point, 2, 0); (Choice.Read_from, 3, 1); (Choice.Cut, 2, 0);
        |])
 
 let test_choice_fast_forward () =
@@ -328,7 +328,7 @@ let gen_key =
   QCheck2.Gen.(
     map Array.of_list
       (list_size (int_range 0 4)
-         (oneofl [ Choice.Failure_point; Choice.Read_from; Choice.Drain ] >>= fun kind ->
+         (oneofl [ Choice.Failure_point; Choice.Read_from; Choice.Cut ] >>= fun kind ->
           int_range 2 3 >>= fun num ->
           map (fun chosen -> (kind, num, chosen)) (int_range 0 (num - 1)))))
 
