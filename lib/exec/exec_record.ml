@@ -142,16 +142,24 @@ let set_tail e t = e.tail <- t
    Only entries the crash drained can be; the rest never are. *)
 let hidden e q i = e.tail != Tail.none && Tail.dropped e.tail (Store_queue.seq_at q i)
 
-let rec first_shown e q i n = if i >= n || not (hidden e q i) then i else first_shown e q (i + 1) n
+let rec next_shown e q i n = if i >= n || not (hidden e q i) then i else next_shown e q (i + 1) n
+let rec prev_shown e q i = if i < 0 || not (hidden e q i) then i else prev_shown e q (i - 1)
 
 let first_store_seq e addr q =
   let n = visible_length e addr q in
-  let i = first_shown e q 0 n in
+  let i = next_shown e q 0 n in
   if i >= n then -1 else Store_queue.seq_at q i
+
+(* Newest first: the drained stores are the end of the history. *)
+let rec pending_store t q i =
+  i >= 0
+  &&
+  let s = Store_queue.seq_at q i in
+  Tail.drained t s && (Tail.pending t s || pending_store t q (i - 1))
 
 let settled e addr q n =
   e.tail == Tail.none
-  || (not (Tail.drained e.tail (Store_queue.seq_at q (n - 1))))
+  || (not (pending_store e.tail q (n - 1)))
      && not (Tail.line_pending e.tail (Pmem.Addr.line_of addr))
 
 let resolve e addr ~choose =
@@ -168,13 +176,13 @@ let resolve e addr ~choose =
       drained := Store_queue.seq_at q i :: !drained
     done;
     if !drained <> [] then split_all (Tail.pending_points t !drained);
-    if first_shown e q 0 n < n then split_all (Tail.line_points t (Pmem.Addr.line_of addr))
+    if next_shown e q 0 n < n then split_all (Tail.line_points t (Pmem.Addr.line_of addr))
   end
 
 let next_store_seq_after e addr s =
   let q = store_queue e addr in
   let n = visible_length e addr q in
-  let i = first_shown e q (Store_queue.count_le q s) n in
+  let i = next_shown e q (Store_queue.count_le q s) n in
   if i >= n then Pmem.Interval.infinity else Store_queue.seq_at q i
 
 let flush_line e addr ~seq =

@@ -129,13 +129,23 @@ val resolve : t -> Pmem.Addr.t -> choose:(int -> int) -> unit
 
 val settled : t -> Pmem.Addr.t -> Store_queue.t -> int -> bool
 (** [settled t addr q n], with [q] the byte's history and [n > 0] its
-    visible length, holds when the byte has no crash-drained store and its
-    line no pending flush raise: its reads need neither {!resolve} nor
+    visible length, holds when no read of the byte here depends on a
+    pending part of the cut: none of its drained stores is pending and its
+    line has no pending flush raise. Such a read needs no {!resolve}, only
     {!hidden}. One physical compare on records without a tail. *)
 
 val hidden : t -> Store_queue.t -> int -> bool
 (** [hidden t q i]: entry [i] of the byte history [q] is a drained store
-    the crash's cut dropped. Meaningful once {!resolve} ran for the byte. *)
+    the crash's cut dropped. Meaningful once {!resolve} ran for the byte,
+    or it is {!settled}. [false] at once on records without a tail. *)
+
+val next_shown : t -> Store_queue.t -> int -> int -> int
+(** [next_shown t q i n]: the first index in [\[i, n)] that is not
+    {!hidden}, or [n] if there is none (or [i >= n]). *)
+
+val prev_shown : t -> Store_queue.t -> int -> int
+(** [prev_shown t q i]: the last index at or below [i] that is not
+    {!hidden}, or a negative one if there is none. *)
 
 val first_store_seq : t -> Pmem.Addr.t -> Store_queue.t -> int
 (** The seq of the oldest store of the byte that is visible and not

@@ -27,8 +27,9 @@ let initial_source exec =
    execution, so the search continues below. The visible history is indexed
    directly (seqs strictly increase, so the window is a contiguous index
    range) instead of folding boxed entries. A record a buffered crash
-   drained into first has [cut] decide what the byte depends on; if the
-   byte has drained stores, those the cut dropped are skipped. *)
+   drained into first has [cut] decide what the byte depends on; the
+   drained stores the cut dropped are then skipped ([hidden]), and with
+   none left the walk goes on below. *)
 let rec read_pre_failure ~cut stack e addr =
   if Exec_record.is_initial e then [ initial_source e ]
   else begin
@@ -36,37 +37,21 @@ let rec read_pre_failure ~cut stack e addr =
     let q = Exec_record.store_queue e addr in
     let n = Exec_record.visible_length e addr q in
     if n = 0 then read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
-    else if Exec_record.settled e addr q n then begin
-      (* Newest index with seq <= lo, or -1; the window (lo, hi) is the
-         index range (idx_le_lo, first index with seq >= hi). *)
-      let idx_le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) - 1 in
+    else
+      (* Stores with seq <= lo are the indices below [le_lo]; the window
+         (lo, hi) is the index range [le_lo, below_hi). *)
+      let le_lo = Store_queue.count_le q (Exec_record.line_lo e addr) in
       let below_hi = Int.min n (Store_queue.count_le q (Exec_record.line_hi e addr - 1)) in
       let wins = ref [] in
       (* Ascending index walk with cons leaves the newest store (highest
          index) at the head — the newest-first order callers rely on. *)
-      for i = idx_le_lo + 1 to below_hi - 1 do
-        wins := source_of_idx e q i :: !wins
+      for i = le_lo to below_hi - 1 do
+        if not (Exec_record.hidden e q i) then wins := source_of_idx e q i :: !wins
       done;
-      below ~cut stack e addr q !wins idx_le_lo
-    end
-    else if Exec_record.first_store_seq e addr q < 0 then
-      read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
-    else begin
-      let lo = Exec_record.line_lo e addr and hi = Exec_record.line_hi e addr in
-      let wins = ref [] and idx_le_lo = ref (-1) in
-      for i = 0 to n - 1 do
-        if not (Exec_record.hidden e q i) then begin
-          let s = Store_queue.seq_at q i in
-          if s <= lo then idx_le_lo := i else if s < hi then wins := source_of_idx e q i :: !wins
-        end
-      done;
-      below ~cut stack e addr q !wins !idx_le_lo
-    end
+      let newest_le_lo = Exec_record.prev_shown e q (le_lo - 1) in
+      if newest_le_lo >= 0 then !wins @ [ source_of_idx e q newest_le_lo ]
+      else !wins @ read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
   end
-
-and below ~cut stack e addr q wins idx_le_lo =
-  if idx_le_lo >= 0 then wins @ [ source_of_idx e q idx_le_lo ]
-  else wins @ read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
 
 (* The same walk as [read_pre_failure], counting instead of collecting,
    for every unknown byte of one load at once. A byte's candidate list has
@@ -82,7 +67,8 @@ and below ~cut stack e addr q wins idx_le_lo =
    [span_record] visits one record for the unknown bytes below [limit], in
    byte order, and returns the new limit: the first byte with a non-empty
    window, or whose read would depend on a crash's pending cut (it is not
-   {!Exec_record.settled}), or [limit]. Bytes at or past that byte are not walked further:
+   {!Exec_record.settled}), or [limit]; drained stores the cut dropped
+   are skipped. Bytes at or past that byte are not walked further:
    the caller reads them one by one after its refinement, which changes
    only this record and older ones. So the walk inserts a line entry only
    where the byte-by-byte loads would too. The bounds are looked up once
@@ -104,8 +90,11 @@ let span_record e addr out limit =
           line := Pmem.Addr.line_of a
         end;
         let le_lo = Store_queue.count_le q !lo in
-        if Int.min n (Store_queue.count_le q (!hi - 1)) > le_lo then limit := !i
-        else if le_lo > 0 then out.(!i) <- Store_queue.value_at q (le_lo - 1)
+        let below_hi = Int.min n (Store_queue.count_le q (!hi - 1)) in
+        if Exec_record.next_shown e q le_lo below_hi < below_hi then limit := !i
+        else
+          let j = Exec_record.prev_shown e q (le_lo - 1) in
+          if j >= 0 then out.(!i) <- Store_queue.value_at q j
       end
     end;
     incr i

@@ -57,6 +57,10 @@ val dropped : t -> int -> bool
 (** Whether the drained entry with this sequence number certainly did not
     survive. [false] for a sequence number below {!first}. *)
 
+val pending : t -> int -> bool
+(** Whether the cut may or may not have kept the drained entry with this
+    sequence number. *)
+
 val line_pending : t -> int -> bool
 (** Whether the line (an index) has a pending flush raise. *)
 
