@@ -137,7 +137,6 @@ let last_store_byte e addr =
 (* --- the crash-drained tail ---------------------------------------------- *)
 
 let set_tail e t = e.tail <- t
-let untailed e = e.tail == Tail.none
 
 (* Entry [i] of the byte's visible history [q] was cut off by the crash.
    Only entries the crash drained can be; the rest never are. *)
@@ -148,7 +147,7 @@ let rec prev_shown e q i = if i < 0 || not (hidden e q i) then i else prev_shown
 
 let first_store_seq e addr q =
   let n = visible_length e addr q in
-  let i = if e.tail == Tail.none then 0 else next_shown e q 0 n in
+  let i = next_shown e q 0 n in
   if i >= n then -1 else Store_queue.seq_at q i
 
 (* Newest first: the drained stores are the end of the history. *)
@@ -183,8 +182,7 @@ let resolve e addr ~choose =
 let next_store_seq_after e addr s =
   let q = store_queue e addr in
   let n = visible_length e addr q in
-  let i = Store_queue.count_le q s in
-  let i = if e.tail == Tail.none then i else next_shown e q i n in
+  let i = next_shown e q (Store_queue.count_le q s) n in
   if i >= n then Pmem.Interval.infinity else Store_queue.seq_at q i
 
 let flush_line e addr ~seq =

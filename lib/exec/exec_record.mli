@@ -118,10 +118,6 @@ val set_tail : t -> Tail.t -> unit
 (** Attaches the crash's drain. Views ({!snapshot_view}, {!snapshot_freeze})
     copy the cut intervals. *)
 
-val untailed : t -> bool
-(** Whether no buffered crash drained into the record: then {!resolve} is
-    a no-op, nothing is {!hidden}, and every byte is {!settled}. *)
-
 val resolve : t -> Pmem.Addr.t -> choose:(int -> int) -> unit
 (** Decides what a read of the byte in this record depends on: first
     whether each of its crash-drained stores survived, then, if some store

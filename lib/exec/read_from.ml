@@ -33,8 +33,7 @@ let initial_source exec =
 let rec read_pre_failure ~cut stack e addr =
   if Exec_record.is_initial e then [ initial_source e ]
   else begin
-    let plain = Exec_record.untailed e in
-    if not plain then Exec_record.resolve e addr ~choose:cut;
+    Exec_record.resolve e addr ~choose:cut;
     let q = Exec_record.store_queue e addr in
     let n = Exec_record.visible_length e addr q in
     if n = 0 then read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
@@ -47,9 +46,9 @@ let rec read_pre_failure ~cut stack e addr =
       (* Ascending index walk with cons leaves the newest store (highest
          index) at the head — the newest-first order callers rely on. *)
       for i = le_lo to below_hi - 1 do
-        if plain || not (Exec_record.hidden e q i) then wins := source_of_idx e q i :: !wins
+        if not (Exec_record.hidden e q i) then wins := source_of_idx e q i :: !wins
       done;
-      let newest_le_lo = if plain then le_lo - 1 else Exec_record.prev_shown e q (le_lo - 1) in
+      let newest_le_lo = Exec_record.prev_shown e q (le_lo - 1) in
       if newest_le_lo >= 0 then !wins @ [ source_of_idx e q newest_le_lo ]
       else !wins @ read_pre_failure ~cut stack (Exec_stack.prev stack e) addr
   end
@@ -77,13 +76,12 @@ let rec read_pre_failure ~cut stack e addr =
 let span_record e addr out limit =
   let limit = ref limit and i = ref 0 in
   let line = ref (-1) and lo = ref 0 and hi = ref 0 in
-  let plain = Exec_record.untailed e in
   while !i < !limit do
     let a = addr + !i in
     if out.(!i) < 0 then begin
       let q = Exec_record.store_queue e a in
       let n = Exec_record.visible_length e a q in
-      if n > 0 && not (plain || Exec_record.settled e a q n) then limit := !i
+      if n > 0 && not (Exec_record.settled e a q n) then limit := !i
       else if n > 0 then begin
         if Pmem.Addr.line_of a <> !line then begin
           let slot = Exec_record.line_slot e a in
@@ -93,11 +91,7 @@ let span_record e addr out limit =
         end;
         let le_lo = Store_queue.count_le q !lo in
         let below_hi = Int.min n (Store_queue.count_le q (!hi - 1)) in
-        if plain then begin
-          if below_hi > le_lo then limit := !i
-          else if le_lo > 0 then out.(!i) <- Store_queue.value_at q (le_lo - 1)
-        end
-        else if Exec_record.next_shown e q le_lo below_hi < below_hi then limit := !i
+        if Exec_record.next_shown e q le_lo below_hi < below_hi then limit := !i
         else
           let j = Exec_record.prev_shown e q (le_lo - 1) in
           if j >= 0 then out.(!i) <- Store_queue.value_at q j
@@ -132,9 +126,7 @@ let read_single_span stack addr ~width out =
   done;
   if !unknown then span_pre_failure stack (Exec_stack.prev stack top) addr out width else width
 
-let no_cut _ = invalid_arg "Read_from: a crash's cut is pending and no decision was given"
-
-let build_may_read_from ?sb_value ?(cut = no_cut) stack addr =
+let build_may_read_from ?sb_value ~cut stack addr =
   match sb_value with
   | Some (value, label) -> [ source_from_current stack ~value ~label ]
   | None -> (

@@ -19,7 +19,7 @@ val source_from_current : Exec_stack.t -> value:int -> label:string -> source
     constraint applies (the paper's [⟨top(exec), _, val⟩] tuples). *)
 
 val build_may_read_from :
-  ?sb_value:int * string -> ?cut:(int -> int) -> Exec_stack.t -> Pmem.Addr.t -> source list
+  ?sb_value:int * string -> cut:(int -> int) -> Exec_stack.t -> Pmem.Addr.t -> source list
 (** All stores the byte load may read from, newest candidates first.
 
     [sb_value], when given, is the value and label of the newest store to the
@@ -33,8 +33,8 @@ val build_may_read_from :
     {!Exec_record.resolve} with [cut] as the decision: a buffered crash's
     pending store-buffer cut is split where this byte depends on it, and
     the drained stores the cut dropped are skipped. [cut n] picks one of
-    [n] alternatives; without it, a record with a pending cut raises
-    [Invalid_argument]. *)
+    [n] alternatives. Callers whose stack holds no crash tail never see
+    it called. *)
 
 val read_single_span : Exec_stack.t -> Pmem.Addr.t -> width:int -> int array -> int
 (** The allocation-free common case of a [width]-byte load, in one walk of

@@ -240,7 +240,7 @@ let test_buffered_store_lost_at_crash () =
   (* Buffered: the recovery read splits the crash's pending store-buffer
      cut at the buffered store — dropped or kept — so both behaviours appear
      here too, but through the Cut decision, not the writeback interval. *)
-  Alcotest.(check (list string)) "buffered sees both via drain choice" [ "x=0"; "x=7" ]
+  Alcotest.(check (list string)) "buffered sees both via cut decision" [ "x=0"; "x=7" ]
     (behaviors Config.Buffered)
 
 let test_multi_failure_depth () =
@@ -424,7 +424,7 @@ let oracle_load ~choice ~stack ~entries ~label addr width =
       let fwd = reference_forward entries a in
       if fwd >= 0 then fwd
       else
-        let candidates = Exec.Read_from.build_may_read_from stack a in
+        let candidates = Exec.Read_from.build_may_read_from ~cut:(fun _ -> assert false) stack a in
         let src =
           match candidates with
           | [ only ] -> only

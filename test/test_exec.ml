@@ -1,5 +1,8 @@
 (* Unit tests for execution records and the Fig. 9/10 read-from analysis. *)
 
+(* The stacks built here hold no crash tail, so no cut is ever decided. *)
+let no_cut _ = assert false
+
 let entry value seq = { Exec.Store_queue.value; seq; label = Printf.sprintf "s%d" seq }
 
 let test_store_queue_basics () =
@@ -89,33 +92,33 @@ let stack_with_stores stores ~flush_at =
 let test_rf_unflushed_line () =
   (* No flush: every store plus the initial zero is a candidate. *)
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2); (100, 3, 3) ] ~flush_at:None in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "newest first, zero last" [ 3; 2; 1; 0 ] (source_values srcs)
 
 let test_rf_flushed_line () =
   (* Flush after seq 2: the newest store at or before the flush is definite;
      later stores remain possible; the initial zero is not. *)
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2); (100, 3, 4) ] ~flush_at:(Some (100, 3)) in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "window plus newest definite" [ 3; 2 ] (source_values srcs)
 
 let test_rf_fully_flushed () =
   let s = stack_with_stores [ (100, 1, 1); (100, 2, 2) ] ~flush_at:(Some (100, 5)) in
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "single definite value" [ 2 ] (source_values srcs)
 
 let test_rf_current_execution_wins () =
   let s = stack_with_stores [ (100, 1, 1) ] ~flush_at:None in
   let top = Exec.Exec_stack.top s in
   Exec.Exec_record.push_store top 100 ~value:9 ~seq:10 ~label:"recovery write";
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "own store shadows history" [ 9 ] (source_values srcs);
   Alcotest.(check bool) "no persistency constraint" true
     ((List.hd srcs).Exec.Read_from.seq = None)
 
 let test_rf_sb_bypass_wins () =
   let s = stack_with_stores [ (100, 1, 1) ] ~flush_at:None in
-  let srcs = Exec.Read_from.build_may_read_from ~sb_value:(7, "sb") s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~sb_value:(7, "sb") ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "store buffer bypass" [ 7 ] (source_values srcs)
 
 let test_do_read_refines_same_line () =
@@ -127,22 +130,22 @@ let test_do_read_refines_same_line () =
       [ (100, 1, 1) (* x=1 *); (108, 5, 2) (* y=5 *); (100, 2, 3) (* x=2 *) ]
       ~flush_at:None
   in
-  let x_srcs = Exec.Read_from.build_may_read_from s 100 in
+  let x_srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "x candidates" [ 2; 1; 0 ] (source_values x_srcs);
   (* Commit x to the newest store (seq 3). *)
   Exec.Read_from.do_read s 100 (List.hd x_srcs);
-  let y_srcs = Exec.Read_from.build_may_read_from s 108 in
+  let y_srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 108 in
   Alcotest.(check (list int)) "y pinned by x's refinement" [ 5 ] (source_values y_srcs)
 
 let test_do_read_refines_upper_bound () =
   let s = stack_with_stores [ (100, 1, 1); (108, 5, 2); (100, 2, 3) ] ~flush_at:None in
-  let x_srcs = Exec.Read_from.build_may_read_from s 100 in
+  let x_srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   (* Commit x to the initial zero: the line was never written back after
      any store, so y must also read zero. *)
   let zero = List.nth x_srcs 2 in
   Alcotest.(check int) "zero candidate" 0 zero.Exec.Read_from.value;
   Exec.Read_from.do_read s 100 zero;
-  let y_srcs = Exec.Read_from.build_may_read_from s 108 in
+  let y_srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 108 in
   Alcotest.(check (list int)) "y pinned to zero" [ 0 ] (source_values y_srcs)
 
 let test_rf_two_failures_deep () =
@@ -155,12 +158,12 @@ let test_rf_two_failures_deep () =
   let e2 = Exec.Exec_stack.push_fresh s in
   Exec.Exec_record.push_store e2 100 ~value:2 ~seq:3 ~label:"new unflushed";
   ignore (Exec.Exec_stack.push_fresh s);
-  let srcs = Exec.Read_from.build_may_read_from s 100 in
+  let srcs = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "new store or older flushed value" [ 2; 1 ] (source_values srcs);
   (* Committing to the old value proves e2 never flushed the line after its
      store: e2's candidates collapse for subsequent reads. *)
   Exec.Read_from.do_read s 100 (List.nth srcs 1);
-  let srcs' = Exec.Read_from.build_may_read_from s 100 in
+  let srcs' = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
   Alcotest.(check (list int)) "refined to the old value" [ 1 ] (source_values srcs')
 
 (* Reference model of ReadPreFailure for a single byte of a single failed
@@ -198,7 +201,7 @@ let prop_candidates_match_reference =
       in
       ignore (Exec.Exec_stack.push_fresh s);
       let got =
-        List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.build_may_read_from s 100)
+        List.map (fun src -> src.Exec.Read_from.value) (Exec.Read_from.build_may_read_from ~cut:no_cut s 100)
       in
       let expected =
         reference_candidates (List.map (fun (q, v) -> (q, v land 0xff)) stores) ~lo
@@ -214,7 +217,7 @@ let prop_do_read_narrows =
       let e1 = Exec.Exec_stack.top s in
       List.iter (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~value:v ~seq ~label:"w") stores;
       ignore (Exec.Exec_stack.push_fresh s);
-      let before = Exec.Read_from.build_may_read_from s 100 in
+      let before = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
       List.for_all
         (fun src ->
           (* Refine on a copy of the stack state is impossible (mutable), so
@@ -225,12 +228,12 @@ let prop_do_read_narrows =
             (fun (seq, v) -> Exec.Exec_record.push_store e1 100 ~value:v ~seq ~label:"w")
             stores;
           ignore (Exec.Exec_stack.push_fresh s);
-          let cands = Exec.Read_from.build_may_read_from s 100 in
+          let cands = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
           let chosen =
             List.find (fun c -> c.Exec.Read_from.seq = src.Exec.Read_from.seq) cands
           in
           Exec.Read_from.do_read s 100 chosen;
-          let after = Exec.Read_from.build_may_read_from s 100 in
+          let after = Exec.Read_from.build_may_read_from ~cut:no_cut s 100 in
           (* The committed value must still be readable, and the set shrinks
              to candidates consistent with it. *)
           List.exists (fun c -> c.Exec.Read_from.value = chosen.Exec.Read_from.value) after
@@ -406,7 +409,7 @@ let intervals s =
 (* Commits byte [a] to its [k]-th candidate (mod the count); returns the
    candidate count and the byte. *)
 let commit s a k =
-  let c = Exec.Read_from.build_may_read_from s a in
+  let c = Exec.Read_from.build_may_read_from ~cut:no_cut s a in
   let src = List.nth c (k mod List.length c) in
   Exec.Read_from.do_read s a src;
   (List.length c, src.Exec.Read_from.value)
