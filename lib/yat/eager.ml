@@ -182,14 +182,19 @@ let bug_of ctx kind location =
     dropped = Jaaru.Ctx.trace_dropped ctx;
   }
 
-let observe ctx post =
+(* A recovery that crashes again (only when [max_failures] > 1) recovers
+   once more, as the explorer does; the observation is the last
+   recovery's. *)
+let rec observe ctx post =
   match post ctx with
   | obs -> (obs, None)
   | exception Jaaru.Bug.Found (kind, location) ->
       let bug = bug_of ctx kind location in
       ("bug: " ^ Jaaru.Bug.symptom bug, Some bug)
   | exception (Jaaru.Choice.Divergence _ as e) -> raise e
-  | exception Jaaru.Ctx.Power_failure -> assert false
+  | exception Jaaru.Ctx.Power_failure ->
+      Jaaru.Ctx.after_crash ctx;
+      observe ctx post
   | exception e ->
       let bug =
         bug_of ctx

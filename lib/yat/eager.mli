@@ -49,4 +49,5 @@ val jaaru_behaviors :
     runs recoveries), as is any recovery whose observation equals one already
     seen. The caller's [max_failures] is respected: pass 0 together with an
     explicit {!Jaaru.Ctx.crash} at the end of [pre] for sharp single-point
-    litmus semantics. *)
+    litmus semantics. Above 1, a recovery that crashes recovers again and
+    [post] runs anew; the execution's observation is the last run's. *)

@@ -2,7 +2,8 @@
    observations Jaaru's exploration produces and a digest of them; dune
    diffs it against buffered_observations.expected. An observation is one
    execution's recovery loads and locked RMWs after the crash, as rendered
-   trace events, plus the bug symptom if recovery hit one. The file pins
+   trace events, plus the bug symptom if recovery hit one (after a crash
+   during recovery, the last recovery's). The file pins
    what recovery can see under store buffers, whatever the search does to
    reach it. *)
 open Jaaru
@@ -53,6 +54,11 @@ let () =
   let c = Recipe.Workloads.(find (concurrent_cases ()) "P-CLHT-concurrent") in
   print "P-CLHT-concurrent" ~config:c.config ~pre:c.scenario.Explorer.pre
     ~post:c.scenario.Explorer.post;
+  (* A recovery that crashes leaves its own pending cut over the first
+     crash's: the observations of the second recovery. *)
+  print "P-CLHT-concurrent max_failures=2"
+    ~config:{ c.config with Config.max_failures = 2 }
+    ~pre:c.scenario.Explorer.pre ~post:c.scenario.Explorer.post;
   print "explicit-crash"
     ~config:{ Config.default with Config.max_failures = 0 }
     ~pre:Scenarios.explicit_crash.Explorer.pre ~post:Scenarios.explicit_crash.Explorer.post;
@@ -82,4 +88,20 @@ let () =
       Ctx.store64 ctx a0 7;
       Ctx.clflush ctx a0 8;
       Ctx.mfence ctx ())
-    read_a0
+    read_a0;
+  (* The first recovery buffers stores of its own and crashes, so the
+     second reads through two pending cuts: a0 is 8, or what the first
+     crash kept of 7. *)
+  let a1 = a0 + 64 in
+  litmus "litmus two crashes"
+    (fun ctx -> Ctx.store64 ctx a0 7)
+    (fun ctx ->
+      if Ctx.failures ctx = 1 then begin
+        Ctx.store64 ctx a0 8;
+        Ctx.store64 ctx a1 9;
+        Ctx.crash ctx
+      end
+      else begin
+        read_a0 ctx;
+        ignore (Ctx.load64 ctx ~label:"rB" a1)
+      end)
