@@ -642,7 +642,7 @@ let parallel ctx ?(label = "parallel") bodies =
      buffered past the join. This must NOT happen when a power failure
      unwinds the section — buffered state dies with the threads — which is
      why it sits after run_fibers rather than in the finally (the fibers
-     then stay in [ctx.threads] for the crash's drain decisions, and
+     then stay in [ctx.threads] for the crash's drain into a pending tail, and
      [after_crash] resets the list). *)
   List.iter
     (fun (th, _) ->

@@ -14,8 +14,9 @@ val create : tid:int -> t
 val copy : t -> t
 (** An independent copy of the whole per-thread volatile state: store buffer,
     flush buffer and timestamps. Used by the failure-point snapshot layer to
-    freeze the state at a crash so that the buffered-drain decisions can be
-    replayed on a restored copy later. *)
+    freeze the state at a crash: a restore drains the copied buffers into
+    the crashed record as a pending tail, whose cut recovery reads
+    decide. *)
 
 val tid : t -> int
 val store_buffer : t -> Store_buffer.t
